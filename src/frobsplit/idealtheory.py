@@ -1,30 +1,42 @@
 """Groebner bases over F_p and everything ideal-compatibility related.
 
-The engine is a plain Buchberger loop with the normal selection strategy
-and the product/chain pair criteria, followed by inter-reduction, so the
-basis returned for given generators and order is unique and the whole
-pipeline is deterministic.  On top of it sit the Frobenius bracket power
-I^[p], colon ideals by tag-variable elimination, the colon module
-(I^[p] : I) whose elements are exactly the coefficients of twisted
-endomorphisms compatible with I (Fedder's criterion), an independent
-finite compatibility check used to cross-validate it, the existence test
-for compatible splittings, and nilpotency witnesses.
+The engine is Buchberger's algorithm on ``fparith.divide_terms``, the
+division routine shared with exact division: every monomial's order key
+is computed once, when its term enters a heap, and every basis element's
+leading monomial once, when the element is added.  S-pairs wait on a
+heap keyed by the order key of their lcm (the normal selection strategy,
+ties broken by index), pruned by the Gebauer-Moller update as each
+element arrives.  The result is inter-reduced, so the basis returned for
+given generators and order is unique and the whole pipeline is
+deterministic.  On top of it sit the Frobenius bracket power I^[p],
+colon ideals by tag-variable elimination, the colon module (I^[p] : I)
+whose elements are exactly the coefficients of twisted endomorphisms
+compatible with I (Fedder's criterion), an independent finite
+compatibility check used to cross-validate it, the existence test for
+compatible splittings, and nilpotency witnesses.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
+from heapq import heappop, heappush
+from operator import add, neg, sub
+from typing import Callable
 
 from .fparith import (
     ContextMismatchError,
+    Divisor,
     Monomial,
     Polynomial,
     RingContext,
+    divide_terms,
     embed,
     exact_divide,
+    grevlex_desc_key,
     grevlex_key,
-    monomial_div,
+    make_divisor,
     monomial_divides,
     monomial_lcm,
     monomial_mul,
@@ -72,6 +84,28 @@ class MonomialOrder:
             return (grevlex_key(m[: self.block]), grevlex_key(m[self.block :]))
         raise ValueError(f"unknown order kind {self.kind!r}")
 
+    @property
+    def desc_key(self) -> Callable[[Monomial], tuple]:
+        """Flat heap key for this order: injective, and ascending in it
+        is descending in ``key``."""
+        if self.kind == "lex":
+            return _lex_desc_key
+        if self.kind == "grevlex":
+            return grevlex_desc_key
+        if self.kind == "elim":
+            return partial(_elim_desc_key, self.block)
+        raise ValueError(f"unknown order kind {self.kind!r}")
+
+
+def _lex_desc_key(m: Monomial) -> tuple:
+    return tuple(map(neg, m))
+
+
+def _elim_desc_key(k: int, m: Monomial) -> tuple:
+    if k >= len(m):
+        raise ValueError("elimination block must be smaller than the arity")
+    return (-sum(m[:k]),) + m[k - 1 :: -1] + (-sum(m[k:]),) + m[: k - 1 : -1]
+
 
 GREVLEX = MonomialOrder.grevlex()
 
@@ -108,9 +142,17 @@ def ideal(*generators: Polynomial) -> IdealPresentation:
 
 @dataclass(frozen=True)
 class GroebnerBasis:
+    """A Groebner basis with the leading monomial of each element, which
+    is computed once here."""
+
     context: RingContext
     order: MonomialOrder
     basis: tuple[Polynomial, ...]
+    leads: tuple[Monomial, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        leads = tuple(_leading(g, self.order)[0] for g in self.basis)
+        object.__setattr__(self, "leads", leads)
 
     def contains(self, f: Polynomial) -> bool:
         return normal_form(f, self).is_zero()
@@ -132,116 +174,129 @@ def _monic(f: Polynomial, order: MonomialOrder) -> Polynomial:
     return f.scale(pow(c, p - 2, p))
 
 
-def _reduce(f: Polynomial, basis: list[Polynomial], order: MonomialOrder) -> Polynomial:
-    """Full remainder of f on division by the list (all terms reduced)."""
-    if not basis:
-        return f
-    p = f.context.p
-    leads = [(_leading(g, order)[0], g.terms) for g in basis]
-    work = dict(f.terms)
-    remainder: dict[Monomial, int] = {}
-    while work:
-        lead = max(work, key=order.key)
-        for lm, gterms in leads:
-            if monomial_divides(lm, lead):
-                shift = monomial_div(lead, lm)
-                factor = (work[lead] * pow(gterms[lm], p - 2, p)) % p
-                for m, c in gterms.items():
-                    t = monomial_mul(m, shift)
-                    s = (work.get(t, 0) - factor * c) % p
-                    if s:
-                        work[t] = s
-                    else:
-                        work.pop(t, None)
-                break
+def _s_terms(f: Divisor, g: Divisor, lcm: Monomial, p: int) -> dict[Monomial, int]:
+    """Terms of the S-polynomial of two prepared divisors with the given
+    lcm of leading monomials; the leading terms cancel and are skipped."""
+    lf, inv_f, tail_f = f
+    lg, inv_g, tail_g = g
+    sf = tuple(map(sub, lcm, lf))
+    sg = tuple(map(sub, lcm, lg))
+    out = {tuple(map(add, m, sf)): c * inv_f % p for m, c in tail_f}
+    for m, c in tail_g:
+        t = tuple(map(add, m, sg))
+        s = (out.get(t, 0) - c * inv_g) % p
+        if s:
+            out[t] = s
         else:
-            remainder[lead] = work.pop(lead)
-    return Polynomial._raw(f.context, remainder)
+            out.pop(t, None)
+    return out
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
     """The S-polynomial cancelling the leading terms of f and g."""
-    mf, cf = _leading(f, order)
-    mg, cg = _leading(g, order)
+    f._check(g)
     p = f.context.p
-    lcm = monomial_lcm(mf, mg)
-    tf = Polynomial(f.context, {monomial_div(lcm, mf): pow(cf, p - 2, p)})
-    tg = Polynomial(g.context, {monomial_div(lcm, mg): pow(cg, p - 2, p)})
-    return tf * f - tg * g
+    mf = _leading(f, order)[0]
+    mg = _leading(g, order)[0]
+    terms = _s_terms(
+        make_divisor(f.terms, mf, p), make_divisor(g.terms, mg, p), monomial_lcm(mf, mg), p
+    )
+    return Polynomial._raw(f.context, terms)
 
 
 def buchberger(I: IdealPresentation, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
     """Reduced Groebner basis of I under the given order.
 
-    Deterministic: generators are pre-sorted canonically, pairs are
-    selected by smallest lcm (normal strategy) with the product and chain
-    criteria pruning useless ones, and the final basis is inter-reduced,
-    monic, and sorted by decreasing leading monomial.
+    Deterministic.  Generators are made monic and pre-sorted canonically.
+    Generators and S-polynomials alike are reduced by the active
+    elements; a nonzero remainder h is made monic and added, its leading
+    monomial LM(h) computed then, once, and kept with it as a prepared
+    divisor.  Each S-pair (i, j) is pushed once onto a heap keyed by the
+    order key of its lcm, computed at push time, with ties broken by
+    (i, j): the normal selection strategy.  The Gebauer-Moller update
+    prunes pairs as h arrives: new pairs (i, h) by the chain criterion
+    among themselves and then the product criterion, and pending pairs
+    whose lcm LM(h) divides while differing from both lcms with LM(h).
+    Active elements whose leading monomial LM(h) divides stop forming
+    pairs and dividing.  The active elements at the end form a minimal
+    basis; it is inter-reduced and sorted by decreasing leading monomial.
     """
+    ctx = I.context
+    p = ctx.p
+    desc_key = order.desc_key
     gens = sorted(
         {_monic(g, order) for g in I.generators if not g.is_zero()},
         key=lambda g: sorted(((order.key(m), c) for m, c in g.terms.items()), reverse=True),
     )
     if not gens:
-        return GroebnerBasis(I.context, order, ())
+        return GroebnerBasis(ctx, order, ())
 
-    basis: list[Polynomial] = []
-    leads: list[Monomial] = []
-    pairs: set[tuple[int, int]] = set()
+    elements: list[Divisor] = []
+    active: list[int] = []
+    # Pending pairs as [lcm key, i, j, lcm]; a pruned pair's lcm is None.
+    pairs: list[list] = []
 
-    def add(g: Polynomial) -> None:
-        k = len(basis)
-        basis.append(g)
-        leads.append(_leading(g, order)[0])
-        pairs.update((i, k) for i in range(k))
+    def insert(terms: dict[Monomial, int]) -> None:
+        # Reduced by the active elements, a new leading monomial is
+        # divisible by none of theirs, so the active set stays minimal.
+        r = divide_terms(terms, [elements[a] for a in active], p, desc_key)
+        if not r:
+            return
+        lead, c = next(iter(r.items()))
+        if c != 1:
+            inv = pow(c, p - 2, p)
+            r = {m: v * inv % p for m, v in r.items()}
+        k = len(elements)
+        elements.append(make_divisor(r, lead, p))
+        new = [(i, monomial_lcm(elements[i][0], lead)) for i in active]
+        kept: list[tuple[int, Monomial, bool]] = []
+        for n, (i, lcm) in enumerate(new):
+            coprime = lcm == monomial_mul(elements[i][0], lead)
+            if coprime or not (
+                any(monomial_divides(other, lcm) for _, other in new[n + 1 :])
+                or any(monomial_divides(other, lcm) for _, other, _ in kept)
+            ):
+                kept.append((i, lcm, coprime))
+        for pair in pairs:
+            lcm = pair[3]
+            if (
+                lcm is not None
+                and monomial_divides(lead, lcm)
+                and monomial_lcm(elements[pair[1]][0], lead) != lcm
+                and monomial_lcm(elements[pair[2]][0], lead) != lcm
+            ):
+                pair[3] = None
+        for i, lcm, coprime in kept:
+            if not coprime:
+                heappush(pairs, [order.key(lcm), i, k, lcm])
+        active[:] = [i for i in active if not monomial_divides(lead, elements[i][0])]
+        active.append(k)
 
     for g in gens:
-        add(g)
-
+        insert(g.terms)
     while pairs:
-        i, j = min(pairs, key=lambda ij: (order.key(monomial_lcm(leads[ij[0]], leads[ij[1]])), ij))
-        pairs.discard((i, j))
-        lcm = monomial_lcm(leads[i], leads[j])
-        # Product criterion: coprime leading monomials reduce to zero.
-        if lcm == monomial_mul(leads[i], leads[j]):
-            continue
-        # Chain criterion: a third element dividing the lcm, whose pairs
-        # with both i and j were already handled, makes this pair redundant.
-        if any(
-            k != i and k != j
-            and monomial_divides(leads[k], lcm)
-            and (min(i, k), max(i, k)) not in pairs
-            and (min(j, k), max(j, k)) not in pairs
-            for k in range(len(basis))
-        ):
-            continue
-        r = _reduce(s_polynomial(basis[i], basis[j], order), basis, order)
-        if not r.is_zero():
-            add(_monic(r, order))
+        _, i, j, lcm = heappop(pairs)
+        if lcm is not None:
+            insert(_s_terms(elements[i], elements[j], lcm, p))
 
-    # Minimalize: drop elements whose leading monomial another one divides.
-    keep: list[int] = []
-    for i, lm in enumerate(leads):
-        if not any(
-            j != i and monomial_divides(leads[j], lm) and (leads[j] != lm or j < i)
-            for j in range(len(basis))
-        ):
-            keep.append(i)
-    minimal = [basis[i] for i in keep]
-    # Reduce each element against the others; leading terms survive.
+    minimal = sorted((elements[i] for i in active), key=lambda e: desc_key(e[0]))
+    # Reduce each tail against the others; the monic leading terms survive.
     reduced = []
-    for i, g in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1 :]
-        reduced.append(_monic(_reduce(g, others, order), order))
-    reduced.sort(key=lambda g: order.key(_leading(g, order)[0]), reverse=True)
-    return GroebnerBasis(I.context, order, tuple(reduced))
+    for n, (lead, _, tail) in enumerate(minimal):
+        rest = divide_terms(dict(tail), minimal[:n] + minimal[n + 1 :], p, desc_key)
+        reduced.append(Polynomial._raw(ctx, {lead: 1, **rest}))
+    return GroebnerBasis(ctx, order, tuple(reduced))
 
 
 def normal_form(f: Polynomial, G: GroebnerBasis) -> Polynomial:
     """Remainder of f modulo the basis; zero iff f lies in the ideal."""
     if f.context != G.context:
         raise ContextMismatchError("polynomial and basis from different rings")
-    return _reduce(f, list(G.basis), G.order)
+    if f.is_zero() or not G.basis:
+        return f
+    p = f.context.p
+    divisors = [make_divisor(g.terms, lm, p) for g, lm in zip(G.basis, G.leads)]
+    return Polynomial._raw(f.context, divide_terms(f.terms, divisors, p, G.order.desc_key))
 
 
 def frobenius_power_ideal(I: IdealPresentation) -> IdealPresentation:

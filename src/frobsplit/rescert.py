@@ -15,12 +15,11 @@ from dataclasses import dataclass
 
 from .fparith import (
     Coefficient,
+    Monomial,
     NotDivisibleError,
     Polynomial,
     RingContext,
-    exact_divide,
     ring,
-    substitute_zero,
     term_str,
 )
 
@@ -46,21 +45,32 @@ class ResidueChain:
 def residue_step(f: Polynomial, var: int) -> Polynomial:
     """Residue of f along x_var = 0: f / x_var^(p-1) evaluated there.
 
-    Raises NotDivisibleError when x_var^(p-1) does not divide f (the
-    endomorphism is not compatible with that hyperplane) and
+    Dividing by a monomial is a shift of exponents, so this is one pass
+    over the terms: those with exponent exactly p-1 in x_var survive with
+    that exponent set to 0.  Raises NotDivisibleError, whose remainder is
+    the terms of exponent below p-1, when x_var^(p-1) does not divide f
+    (the endomorphism is not compatible with that hyperplane) and
     VanishingResidueError when the result is zero.
     """
     ctx = f.context
-    p = ctx.p
-    exps = [0] * ctx.arity
-    exps[var] = p - 1
-    quotient = exact_divide(f, ctx.monomial(exps))
-    result = substitute_zero(quotient, var)
-    if result.is_zero():
+    if not 0 <= var < ctx.arity:
+        raise IndexError(f"variable index {var} out of range")
+    k = ctx.p - 1
+    result: dict[Monomial, int] = {}
+    short: dict[Monomial, int] = {}
+    for m, c in f.terms.items():
+        e = m[var]
+        if e < k:
+            short[m] = c
+        elif e == k:
+            result[m[:var] + (0,) + m[var + 1 :]] = c
+    if short:
+        raise NotDivisibleError("division left a nonzero remainder", Polynomial._raw(ctx, short))
+    if not result:
         raise VanishingResidueError(
             f"residue along {ctx.variables[var]} = 0 vanishes"
         )
-    return result
+    return Polynomial._raw(ctx, result)
 
 
 def certify_chain(f: Polynomial, order: list[int] | tuple[int, ...]) -> ResidueChain:

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import random
 
-from frobsplit import Polynomial, RingContext
+from hypothesis import strategies as st
+
+from frobsplit import Polynomial, RingContext, ring
 
 
 def rand_poly(
@@ -38,3 +40,23 @@ def schoolbook_mul(a: dict, b: dict, p: int) -> dict:
             m = tuple(x + y for x, y in zip(ma, mb))
             out[m] = out.get(m, 0) + ca * cb
     return {m: c % p for m, c in out.items() if c % p}
+
+
+contexts = st.builds(
+    lambda p, n: ring(p, [f"x{i}" for i in range(n)]),
+    st.sampled_from([2, 3, 5, 7]),
+    st.integers(1, 3),
+)
+"""Small rings F_p[x0..x{n-1}] for property tests."""
+
+
+@st.composite
+def polys(draw, ctx: RingContext, max_exp: int = 3, max_terms: int = 5, nonzero: bool = False):
+    """Polynomials in ``ctx`` with every exponent at most ``max_exp``."""
+    exps = st.tuples(*[st.integers(0, max_exp)] * ctx.arity)
+    terms = draw(
+        st.dictionaries(
+            exps, st.integers(1, ctx.p - 1), min_size=1 if nonzero else 0, max_size=max_terms
+        )
+    )
+    return Polynomial(ctx, terms)

@@ -1,8 +1,12 @@
 """Prime-field scalars and sparse polynomial arithmetic."""
 
+import math
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frobsplit import (
     Coefficient,
@@ -16,7 +20,8 @@ from frobsplit import (
     ring,
     substitute_zero,
 )
-from _util import rand_poly, schoolbook_mul
+from frobsplit.fparith import grevlex_key, monomial_divides
+from _util import contexts, polys, rand_poly, schoolbook_mul
 
 
 @pytest.mark.parametrize("value", [2, 3, 5, 7, 32003])
@@ -28,6 +33,36 @@ def test_prime_accepts_primes(value):
 def test_prime_rejects_composites(value):
     with pytest.raises(ValueError):
         Prime(value)
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def test_prime_agrees_with_trial_division_below_20000():
+    for n in range(20000):
+        if _trial_division(n):
+            assert Prime(n).value == n
+        else:
+            with pytest.raises(ValueError):
+                Prime(n)
+
+
+@pytest.mark.parametrize("value", [561, 3215031751])
+def test_prime_rejects_carmichael_numbers(value):
+    with pytest.raises(ValueError):
+        Prime(value)
+
+
+def test_prime_accepts_mersenne_61_quickly():
+    start = time.perf_counter()
+    assert Prime(2**61 - 1).value == 2**61 - 1
+    assert time.perf_counter() - start < 0.5
+
+
+def test_prime_refuses_values_beyond_the_certified_bound():
+    with pytest.raises(ValueError, match="too large"):
+        Prime(2**89 - 1)
 
 
 def test_coefficient_arithmetic():
@@ -174,6 +209,27 @@ def test_exact_divide_multiply_back(p):
         a = rand_poly(rng, ctx)
         b = rand_poly(rng, ctx, nonzero=True)
         assert exact_divide(a * b, b) == a
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_exact_divide_property(data):
+    ctx = data.draw(contexts)
+    a = data.draw(polys(ctx))
+    b = data.draw(polys(ctx, nonzero=True))
+    assert exact_divide(a * b, b) == a
+    extra = data.draw(polys(ctx))
+    try:
+        q = exact_divide(a * b + extra, b)
+    except NotDivisibleError as err:
+        rem = err.remainder
+        assert not rem.is_zero()
+        lead = max(b.terms, key=grevlex_key)
+        assert not any(monomial_divides(lead, m) for m in rem.terms)
+        # The remainder differs from the dividend by a multiple of b.
+        exact_divide(a * b + extra - rem, b)
+    else:
+        assert q * b == a * b + extra
 
 
 def test_substitute_zero():

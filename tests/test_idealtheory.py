@@ -3,8 +3,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frobsplit import (
+    GroebnerBasis,
     IdealPresentation,
     MonomialOrder,
     TwistedEndo,
@@ -22,7 +25,9 @@ from frobsplit import (
     ring,
     s_polynomial,
 )
-from _util import rand_poly
+from _util import contexts, polys, rand_poly
+
+ORDERS = [MonomialOrder.lex(), MonomialOrder.grevlex(), MonomialOrder.elim(1)]
 
 
 def _ideal(ctx, *exprs):
@@ -325,3 +330,87 @@ def test_radical_obstruction_soundness(p):
     J = _ideal(ctx, "y", "y-x^2")
     assert nilpotent_witness(parse_expr("x", ctx), J, 4) == 2
     assert not exists_compatible_splitting(J).exists
+
+
+def _reference_normal_form(f, basis, order):
+    """Division that rescans for the leading term with ``max`` on every
+    step, reducing by the first basis element whose lead divides it."""
+    p = f.context.p
+    leads = [max(g.terms, key=order.key) for g in basis]
+    work = dict(f.terms)
+    remainder = {}
+    while work:
+        lead = max(work, key=order.key)
+        for g, lm in zip(basis, leads):
+            if all(a <= b for a, b in zip(lm, lead)):
+                shift = tuple(a - b for a, b in zip(lead, lm))
+                factor = work[lead] * pow(g.terms[lm], p - 2, p) % p
+                for m, c in g.terms.items():
+                    t = tuple(a + b for a, b in zip(m, shift))
+                    s = (work.get(t, 0) - factor * c) % p
+                    if s:
+                        work[t] = s
+                    else:
+                        work.pop(t, None)
+                break
+        else:
+            remainder[lead] = work.pop(lead)
+    return remainder
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from(ORDERS))
+def test_normal_form_matches_max_scan_division(data, order):
+    ctx = data.draw(contexts.filter(lambda c: c.arity >= 2))
+    basis = data.draw(st.lists(polys(ctx, max_exp=2, nonzero=True), min_size=1, max_size=3))
+    f = data.draw(polys(ctx, max_exp=4, max_terms=8))
+    # Any list of divisors, not only a Groebner basis: the division rule
+    # itself must match, not just the unique remainder modulo a basis.
+    G = GroebnerBasis(ctx, order, tuple(basis))
+    assert normal_form(f, G).terms == _reference_normal_form(f, basis, order)
+    gb = buchberger(IdealPresentation(ctx, basis), order)
+    assert normal_form(f, gb).terms == _reference_normal_form(f, list(gb.basis), order)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_desc_key_sorts_descending(data):
+    n = data.draw(st.integers(1, 4))
+    monomials = data.draw(st.lists(st.tuples(*[st.integers(0, 4)] * n), unique=True, max_size=12))
+    orders = [MonomialOrder.lex(), MonomialOrder.grevlex()]
+    orders += [MonomialOrder.elim(k) for k in range(1, n)]
+    for order in orders:
+        assert sorted(monomials, key=order.desc_key) == sorted(
+            monomials, key=order.key, reverse=True
+        )
+
+
+def test_groebner_basis_keeps_leading_monomials():
+    from frobsplit.idealtheory import _leading
+
+    ctx = ring(3, "x y z")
+    for order in ORDERS:
+        G = buchberger(_ideal(ctx, "x^2+y", "x*y+z", "2*y^2+x*z"), order)
+        assert G.leads == tuple(_leading(g, order)[0] for g in G.basis)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.sampled_from(["grevlex", "lex"]))
+def test_buchberger_matches_sympy_property(data, order_name):
+    sympy = pytest.importorskip("sympy")
+    from frobsplit import Polynomial
+
+    ctx = data.draw(contexts)
+    gens = data.draw(st.lists(polys(ctx, max_exp=2, max_terms=4, nonzero=True), min_size=1, max_size=3))
+    order = MonomialOrder.grevlex() if order_name == "grevlex" else MonomialOrder.lex()
+    mine = [str(g) for g in buchberger(IdealPresentation(ctx, gens), order).basis]
+    syms = list(sympy.symbols(list(ctx.variables)))
+    sp_gens = [
+        sum(int(c) * sympy.prod([s**e for s, e in zip(syms, m)]) for m, c in g.terms.items())
+        for g in gens
+    ]
+    theirs = []
+    for e in sympy.groebner(sp_gens, *syms, order=order_name, modulus=ctx.p).exprs:
+        poly = sympy.Poly(e, *syms, modulus=ctx.p)
+        theirs.append(str(Polynomial(ctx, {tuple(m): int(c) % ctx.p for m, c in poly.terms()})))
+    assert sorted(mine) == sorted(theirs)

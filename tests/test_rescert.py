@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frobsplit import (
     NotDivisibleError,
@@ -12,6 +14,7 @@ from frobsplit import (
     VerdictKind,
     certify_chain,
     check_splitting,
+    exact_divide,
     homogeneous_fastpath,
     ideal,
     is_compatible,
@@ -24,9 +27,10 @@ from frobsplit import (
     residue_step,
     ring,
     search_chain,
+    substitute_zero,
 )
 from frobsplit.rescert import render_truncated
-from _util import rand_poly
+from _util import contexts, polys, rand_poly
 
 
 def _det_oracle(ctx, n, rows, cols):
@@ -56,6 +60,31 @@ def test_residue_not_divisible():
     ctx = ring(3, "x y")
     with pytest.raises(NotDivisibleError):
         residue_step(parse_expr("y^2", ctx), 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_residue_step_matches_divide_then_substitute(data):
+    ctx = data.draw(contexts)
+    var = data.draw(st.integers(0, ctx.arity - 1))
+    exps = [0] * ctx.arity
+    exps[var] = ctx.p - 1
+    power = ctx.monomial(exps)
+    f = data.draw(polys(ctx)) * power
+    if data.draw(st.booleans()):
+        f = f + data.draw(polys(ctx, max_exp=ctx.p))
+    try:
+        expected = substitute_zero(exact_divide(f, power), var)
+    except NotDivisibleError as err:
+        with pytest.raises(NotDivisibleError) as got:
+            residue_step(f, var)
+        assert got.value.remainder == err.remainder
+        return
+    if expected.is_zero():
+        with pytest.raises(VanishingResidueError):
+            residue_step(f, var)
+    else:
+        assert residue_step(f, var) == expected
 
 
 @pytest.mark.parametrize("p", [3, 5])
