@@ -1,12 +1,17 @@
 """Command-line interface and corpus runner.
 
-Every check the library performs is exposed as a subcommand; ``corpus
-run`` executes a JSON file of cases with expected verdicts and exits
-nonzero when any expectation fails.  Reports are printed as stable text
-(one line per check) or JSON.
+``CHECKS`` is the one table of checks: for each kind, the fields it needs
+(``variables`` and ``sigma`` from the case, the rest from the check) and
+a runner returning ``(verdict, certificate)``.  ``corpus run`` validates
+a JSON file of cases against it before running any.  Every subcommand in
+``COMMANDS`` but ``matrix-demo`` takes only the flags its check reads and
+runs as a one-check case through the same ``_run_check``.  Reports are
+stable text (one line per check) or JSON.
 
 Exit codes: 0 all checks passed, 1 some verdict differed from its
-expectation, 2 usage or parse error.
+expectation, 2 usage or parse error, a malformed corpus file included.
+In a well-formed corpus, an expression that does not parse or a
+computation that fails is a failed check.
 """
 
 from __future__ import annotations
@@ -16,10 +21,10 @@ import json
 import sys
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from .expr import ParseError, parse_expr
-from .fparith import ring
+from .fparith import Polynomial, ring
 from .idealtheory import (
     IdealPresentation,
     buchberger,
@@ -124,81 +129,138 @@ class CorpusCase:
     checks: tuple[dict, ...]
 
     @classmethod
-    def from_json(cls, obj: dict) -> "CorpusCase":
-        return cls(
-            name=obj["name"],
-            prime=obj["prime"],
-            variables=tuple(obj.get("variables", ())),
-            sigma=obj.get("sigma"),
-            checks=tuple(obj["checks"]),
-        )
+    def from_json(cls, obj: Any) -> "CorpusCase":
+        """A case from its corpus entry; ValueError unless it fits ``CHECKS``."""
+        if not isinstance(obj, dict):
+            raise ValueError(f"a corpus case is a {type(obj).__name__}, not an object")
+        name = obj.get("name")
+        if not isinstance(name, str):
+            raise ValueError('a corpus case has no "name" string')
+        if not isinstance(obj.get("prime"), int):
+            raise ValueError(f'case {name!r} has no integer "prime"')
+        variables = obj.get("variables", [])
+        if not isinstance(variables, list) or not all(isinstance(v, str) for v in variables):
+            raise ValueError(f'case {name!r}: "variables" is not a list of names')
+        checks = obj.get("checks")
+        if not isinstance(checks, list):
+            raise ValueError(f'case {name!r} has no "checks" list')
+        for check in checks:
+            if not isinstance(check, dict):
+                raise ValueError(f"case {name!r}: a check is a {type(check).__name__}, not an object")
+            kind = check.get("kind")
+            if not isinstance(kind, str) or kind not in CHECKS:
+                raise ValueError(f"case {name!r}: unknown check kind {kind!r}")
+            for key in CHECKS[kind][0]:
+                if not (obj if key in ("variables", "sigma") else check).get(key):
+                    raise ValueError(f"case {name!r}: a {kind!r} check needs {key!r}")
+        return cls(name, obj["prime"], tuple(variables), obj.get("sigma"), tuple(checks))
+
+
+class _Run:
+    """One check of a case: its inputs, and a runner per kind for ``CHECKS``."""
+
+    def __init__(self, case: CorpusCase, check: dict):
+        self.case = case
+        self.check = check
+        self.ctx = ring(case.prime, case.variables) if case.variables else None
+
+    def poly(self, text: str) -> Polynomial:
+        if self.ctx is None:
+            raise ValueError(f"case {self.case.name!r} has no variables")
+        return parse_expr(text, self.ctx)
+
+    def sigma(self) -> TwistedEndo:
+        if self.case.sigma is None:
+            raise ValueError(f"case {self.case.name!r} has no sigma expression")
+        return TwistedEndo(self.poly(self.case.sigma))
+
+    def ideal(self) -> IdealPresentation:
+        return IdealPresentation(self.ctx, [self.poly(s) for s in self.check["ideal"]])
+
+    def splitting(self) -> tuple[Any, Any]:
+        v = check_splitting(self.sigma())
+        if v.witness is not None:
+            return v.kind.value, {"witness": render_truncated(v.witness)}
+        return v.kind.value, None if v.constant is None else {"constant": str(v.constant)}
+
+    def spans(self) -> tuple[Any, Any]:
+        return check_splitting(self.sigma()).spans, None
+
+    def compatible(self) -> tuple[Any, Any]:
+        return is_compatible(self.sigma(), self.ideal(), self.check.get("method", "both")), None
+
+    def fedder(self) -> tuple[Any, Any]:
+        C = fedder_module(self.ideal())
+        return [str(g) for g in C.generators], {"groebner": [str(g) for g in buchberger(C).basis]}
+
+    def exists_split(self) -> tuple[Any, Any]:
+        res = exists_compatible_splitting(self.ideal())
+        return res.exists, {"obstruction": [str(g) for g in res.obstruction.basis]}
+
+    def d_split(self) -> tuple[Any, Any]:
+        sigma, h = self.sigma(), self.poly(self.check["divisor"])
+        if h.is_zero():
+            raise ValueError("the divisor must be nonzero")
+        return is_divisor_splitting(sigma, h), None
+
+    def chain(self) -> tuple[Any, Any]:
+        """Certify the chain in the check's ``order``, or search for one."""
+        coeff = self.sigma().coeff
+        if self.check.get("order") is None:
+            return _search(coeff)
+        unknown = [name for name in self.check["order"] if name not in self.ctx.variables]
+        if unknown:
+            raise ValueError(f"unknown variable {unknown[0]!r}")
+        order = [self.ctx.index(name) for name in self.check["order"]]
+        try:
+            return True, chain_certificate(certify_chain(coeff, order))
+        except ArithmeticError as exc:
+            return False, {"error": str(exc)}
+
+    def semigroup(self) -> tuple[Any, Any]:
+        res = semigroup_split_check(NumericalSemigroup(self.check["generators"]), self.case.prime)
+        return res.split, {"witness": res.witness}
+
+    def nilpotent(self) -> tuple[Any, Any]:
+        g = self.poly(self.check["element"])
+        return nilpotent_witness(g, self.ideal(), self.check.get("bound", 4)), None
+
+    def p1(self) -> tuple[Any, Any]:
+        res = p1_extension_check(self.sigma())
+        keys = ("extends", "compatible_zero", "compatible_infinity")
+        verdict = {key: getattr(res, key) for key in keys}
+        other = res.other_chart
+        return verdict, None if other is None else {"other_chart": render_truncated(other)}
+
+
+def _search(coeff: Polynomial) -> tuple[bool, Any]:
+    chain = search_chain(coeff)
+    return (False, None) if chain is None else (True, chain_certificate(chain))
+
+
+# check kind: (the fields it needs, its runner)
+CHECKS: dict[str, tuple[tuple[str, ...], Callable[[_Run], tuple[Any, Any]]]] = {
+    "splitting": (("variables", "sigma"), _Run.splitting),
+    "spans": (("variables", "sigma"), _Run.spans),
+    "compatible": (("variables", "sigma", "ideal"), _Run.compatible),
+    "fedder": (("variables", "ideal"), _Run.fedder),
+    "exists-split": (("variables", "ideal"), _Run.exists_split),
+    "d-split": (("variables", "sigma", "divisor"), _Run.d_split),
+    "chain": (("variables", "sigma"), _Run.chain),
+    "semigroup": (("generators",), _Run.semigroup),
+    "nilpotent": (("variables", "element", "ideal"), _Run.nilpotent),
+    "p1": (("variables", "sigma"), _Run.p1),
+}
 
 
 def _run_check(case: CorpusCase, check: dict) -> CheckResult:
     kind = check["kind"]
-    expected = check.get("expected")
-    ctx = ring(case.prime, case.variables) if case.variables else None
-
-    def sigma() -> TwistedEndo:
-        if ctx is None or case.sigma is None:
-            raise ValueError(f"case {case.name!r} has no sigma expression")
-        return TwistedEndo(parse_expr(case.sigma, ctx))
-
-    def parse_ideal(key: str = "ideal") -> IdealPresentation:
-        assert ctx is not None
-        return IdealPresentation(ctx, [parse_expr(s, ctx) for s in check[key]])
-
-    certificate: Any = None
-    if kind == "splitting":
-        v = check_splitting(sigma())
-        verdict: Any = v.kind.value
-        if v.witness is not None:
-            certificate = {"witness": render_truncated(v.witness)}
-        elif v.constant is not None:
-            certificate = {"constant": str(v.constant)}
-    elif kind == "spans":
-        verdict = check_splitting(sigma()).spans
-    elif kind == "compatible":
-        verdict = is_compatible(sigma(), parse_ideal(), check.get("method", "both"))
-    elif kind == "exists-split":
-        res = exists_compatible_splitting(parse_ideal())
-        verdict = res.exists
-        certificate = {"obstruction": [str(g) for g in res.obstruction.basis]}
-    elif kind == "d-split":
-        assert ctx is not None
-        verdict = is_divisor_splitting(sigma(), parse_expr(check["divisor"], ctx))
-    elif kind == "chain":
-        assert ctx is not None
-        order = [ctx.index(name) for name in check["order"]]
-        try:
-            chain = certify_chain(sigma().coeff, order)
-            verdict = True
-            certificate = chain_certificate(chain)
-        except ArithmeticError as exc:
-            verdict = False
-            certificate = {"error": str(exc)}
-    elif kind == "semigroup":
-        res = semigroup_split_check(NumericalSemigroup(check["generators"]), case.prime)
-        verdict = res.split
-        certificate = {"witness": res.witness}
-    elif kind == "nilpotent":
-        assert ctx is not None
-        g = parse_expr(check["element"], ctx)
-        verdict = nilpotent_witness(g, parse_ideal(), check.get("bound", 4))
-    elif kind == "p1":
-        res = p1_extension_check(sigma())
-        verdict = {
-            "extends": res.extends,
-            "compatible_zero": res.compatible_zero,
-            "compatible_infinity": res.compatible_infinity,
-        }
-        if res.other_chart is not None:
-            certificate = {"other_chart": render_truncated(res.other_chart)}
-    else:
+    if kind not in CHECKS:
         raise ValueError(f"unknown check kind {kind!r}")
-
-    passed = expected is None or verdict == expected
-    return CheckResult(kind, verdict, expected, passed, certificate)
+    _, run = CHECKS[kind]
+    verdict, certificate = run(_Run(case, check))
+    expected = check.get("expected")
+    return CheckResult(kind, verdict, expected, expected is None or verdict == expected, certificate)
 
 
 def run_case(case: CorpusCase) -> Report:
@@ -219,257 +281,119 @@ def shipped_corpus_path() -> str:
     return str(resources.files("frobsplit").joinpath("corpus/worked_examples.json"))
 
 
-def _emit(report: Report, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(report.to_json(), sort_keys=True))
-    else:
-        print(report.to_text())
-
-
-def _context_from_args(args: argparse.Namespace):
-    names = args.vars.replace(",", " ").split() if args.vars else []
-    if not names:
-        raise ParseError("no variables given (use --vars)", 0)
-    return ring(args.prime, names)
-
-
-def _sigma_from_args(args: argparse.Namespace) -> TwistedEndo:
-    ctx = _context_from_args(args)
-    return TwistedEndo(parse_expr(args.expr, ctx))
-
-
-def _cmd_split_check(args) -> Report:
-    sigma = _sigma_from_args(args)
-    v = check_splitting(sigma)
-    cert: Any = None
-    if v.witness is not None:
-        cert = {"witness": render_truncated(v.witness)}
-    elif v.constant is not None:
-        cert = {"constant": str(v.constant)}
-    report = Report("split-check", args.prime)
-    report.checks.append(CheckResult("splitting", v.kind.value, certificate=cert))
-    return report
-
-
-def _cmd_compat(args) -> Report:
-    sigma = _sigma_from_args(args)
-    I = IdealPresentation(sigma.context, [parse_expr(s, sigma.context) for s in args.ideal])
-    verdict = is_compatible(sigma, I, args.method)
-    report = Report("compat", args.prime)
-    report.checks.append(CheckResult("compatible", verdict))
-    return report
-
-
-def _cmd_fedder(args) -> Report:
-    ctx = _context_from_args(args)
-    I = IdealPresentation(ctx, [parse_expr(s, ctx) for s in args.ideal])
-    C = fedder_module(I)
-    report = Report("fedder", args.prime)
-    report.checks.append(
-        CheckResult(
-            "fedder",
-            [str(g) for g in C.generators],
-            certificate={"groebner": [str(g) for g in buchberger(C).basis]},
-        )
-    )
-    return report
-
-
-def _cmd_exists_split(args) -> Report:
-    ctx = _context_from_args(args)
-    I = IdealPresentation(ctx, [parse_expr(s, ctx) for s in args.ideal])
-    res = exists_compatible_splitting(I)
-    report = Report("exists-split", args.prime)
-    report.checks.append(
-        CheckResult(
-            "exists-split",
-            res.exists,
-            certificate={"obstruction": [str(g) for g in res.obstruction.basis]},
-        )
-    )
-    return report
-
-
-def _cmd_d_split(args) -> Report:
-    sigma = _sigma_from_args(args)
-    h = parse_expr(args.divisor, sigma.context)
-    report = Report("d-split", args.prime)
-    report.checks.append(CheckResult("d-split", is_divisor_splitting(sigma, h)))
-    return report
-
-
-def _cmd_certify(args) -> Report:
-    sigma = _sigma_from_args(args)
-    ctx = sigma.context
-    order = [ctx.index(name) for name in args.order.replace(",", " ").split()]
-    report = Report("certify", args.prime)
-    try:
-        chain = certify_chain(sigma.coeff, order)
-        report.checks.append(CheckResult("chain", True, certificate=chain_certificate(chain)))
-    except ArithmeticError as exc:
-        report.checks.append(CheckResult("chain", False, certificate={"error": str(exc)}))
-    return report
-
-
-def _cmd_search_chain(args) -> Report:
-    sigma = _sigma_from_args(args)
-    chain = search_chain(sigma.coeff)
-    report = Report("search-chain", args.prime)
-    if chain is None:
-        report.checks.append(CheckResult("chain", False))
-    else:
-        report.checks.append(CheckResult("chain", True, certificate=chain_certificate(chain)))
-    return report
-
-
-def _cmd_matrix_demo(args) -> Report:
-    n = args.size
-    ctx = matrix_context(n, args.prime)
-    coeff = matrix_section_coefficient(ctx, n)
-    report = Report(f"matrix-demo-{n}", args.prime)
-    report.checks.append(
-        CheckResult(
-            "factors",
-            [str(f) for f in matrix_factors(ctx, n)],
-        )
-    )
-    v = check_splitting(TwistedEndo(coeff))
-    report.checks.append(
-        CheckResult("splitting", v.kind.value, certificate={"origin": str(origin_coefficient(coeff))})
-    )
-    chain = search_chain(coeff)
-    if chain is None:
-        report.checks.append(CheckResult("chain", False, passed=False))
-    else:
-        report.checks.append(CheckResult("chain", True, certificate=chain_certificate(chain)))
-    return report
-
-
-def _cmd_semigroup(args) -> Report:
-    gens = [int(g) for g in args.gens.replace(",", " ").split()]
-    res = semigroup_split_check(NumericalSemigroup(gens), args.prime)
-    report = Report("semigroup", args.prime)
-    report.checks.append(
-        CheckResult("semigroup", res.split, certificate={"witness": res.witness})
-    )
-    return report
-
-
-def _cmd_p1(args) -> Report:
-    sigma = _sigma_from_args(args)
-    res = p1_extension_check(sigma)
-    report = Report("p1", args.prime)
-    cert = None
-    if res.other_chart is not None:
-        cert = {"other_chart": render_truncated(res.other_chart)}
-    report.checks.append(
-        CheckResult(
-            "p1",
-            {
-                "extends": res.extends,
-                "compatible_zero": res.compatible_zero,
-                "compatible_infinity": res.compatible_infinity,
-            },
-            certificate=cert,
-        )
-    )
-    return report
-
-
-def _cmd_corpus(args) -> tuple[list[Report], bool]:
-    path = args.file or shipped_corpus_path()
+def _load_corpus(path: str) -> list[CorpusCase]:
     with open(path, encoding="utf-8") as handle:
         data = json.load(handle)
+    if not isinstance(data, dict):
+        raise ValueError("the corpus is not a JSON object")
     if data.get("schema") != SCHEMA_VERSION:
         raise ValueError(f"unsupported corpus schema {data.get('schema')!r}")
-    reports = [run_case(CorpusCase.from_json(obj)) for obj in data["cases"]]
-    return reports, all(r.passed for r in reports)
+    if not isinstance(data.get("cases"), list):
+        raise ValueError('the corpus has no "cases" list')
+    return [CorpusCase.from_json(obj) for obj in data["cases"]]
+
+
+def _names(text: str) -> list[str]:
+    return text.replace(",", " ").split()
+
+
+def _integers(text: str) -> list[int]:
+    return [int(g) for g in _names(text)]
+
+
+# The arguments a subcommand takes besides the shared flags.
+_ARGUMENTS: dict[str, dict] = {
+    "--method": dict(choices=["fedder", "finite", "both"], default="both", help="compatibility method"),
+    "expr": dict(),
+    "--ideal": dict(nargs="+", required=True),
+    "--divisor": dict(required=True),
+    "--order": dict(type=_names, required=True, help="variable names, e.g. 'x,y'"),
+    "--size": dict(type=int, default=3),
+    "--gens": dict(dest="generators", type=_integers, required=True, help="generators, e.g. '2,3'"),
+    "action": dict(choices=["run"]),
+    "file": dict(nargs="?", help="corpus JSON (defaults to the shipped one)"),
+}
+
+# subcommand: (help, the check kind it runs or None, the last shared flag it
+# takes in the chain format < prime < vars, its other arguments)
+COMMANDS: dict[str, tuple[str, str | None, str, str]] = {
+    "split-check": ("is the section a splitting?", "splitting", "vars", "expr"),
+    "compat": ("is the section compatible with an ideal?", "compatible", "vars", "--method expr --ideal"),
+    "fedder": ("coefficients compatible with an ideal", "fedder", "vars", "--ideal"),
+    "exists-split": ("does a compatible splitting exist?", "exists-split", "vars", "--ideal"),
+    "d-split": ("is the splitting divisor-compatible?", "d-split", "vars", "expr --divisor"),
+    "certify": ("run a residue chain in a given order", "chain", "vars", "expr --order"),
+    "search-chain": ("search for a residue chain", "chain", "vars", "expr"),
+    "matrix-demo": ("nested-minor section of a generic matrix", None, "prime", "--size"),
+    "semigroup": ("splitness of a numerical semigroup ring", "semigroup", "prime", "--gens"),
+    "p1": ("extension to the projective line", "p1", "vars", "expr"),
+    "corpus": ("run a corpus of cases", None, "format", "action file"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--prime", "-p", type=int, default=2, help="characteristic (a prime)")
-    common.add_argument("--vars", default="", help="variable names, e.g. 'x,y'")
-    common.add_argument(
-        "--method",
-        choices=["fedder", "finite", "both"],
-        default="both",
-        help="compatibility method",
-    )
-    common.add_argument("--format", choices=["text", "json"], default="text")
-
+    # Shared flags and -h come through parent parsers, each extending the one
+    # before: copying an action is cheaper than add_argument.
+    fmt = argparse.ArgumentParser()
+    fmt.add_argument("--format", choices=["text", "json"], default="text")
+    prime = argparse.ArgumentParser(add_help=False, parents=[fmt])
+    prime.add_argument("--prime", "-p", type=int, default=2, help="characteristic (a prime)")
+    ring_flags = argparse.ArgumentParser(add_help=False, parents=[prime])
+    ring_flags.add_argument("--vars", type=_names, default="", help="variable names, e.g. 'x,y'")
+    shared = {"format": fmt, "prime": prime, "vars": ring_flags}
     parser = argparse.ArgumentParser(
         prog="frobsplit",
         description="Frobenius splitting checks for polynomial rings over F_p",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    cmd = sub.add_parser("split-check", parents=[common], help="is the section a splitting?")
-    cmd.add_argument("expr")
-    cmd.set_defaults(fn=_cmd_split_check)
-
-    cmd = sub.add_parser("compat", parents=[common], help="is the section compatible with an ideal?")
-    cmd.add_argument("expr")
-    cmd.add_argument("--ideal", nargs="+", required=True)
-    cmd.set_defaults(fn=_cmd_compat)
-
-    cmd = sub.add_parser("fedder", parents=[common], help="coefficients compatible with an ideal")
-    cmd.add_argument("--ideal", nargs="+", required=True)
-    cmd.set_defaults(fn=_cmd_fedder)
-
-    cmd = sub.add_parser("exists-split", parents=[common], help="does a compatible splitting exist?")
-    cmd.add_argument("--ideal", nargs="+", required=True)
-    cmd.set_defaults(fn=_cmd_exists_split)
-
-    cmd = sub.add_parser("d-split", parents=[common], help="is the splitting divisor-compatible?")
-    cmd.add_argument("expr")
-    cmd.add_argument("--divisor", required=True)
-    cmd.set_defaults(fn=_cmd_d_split)
-
-    cmd = sub.add_parser("certify", parents=[common], help="run a residue chain in a given order")
-    cmd.add_argument("expr")
-    cmd.add_argument("--order", required=True, help="variable names, e.g. 'x,y'")
-    cmd.set_defaults(fn=_cmd_certify)
-
-    cmd = sub.add_parser("search-chain", parents=[common], help="search for a residue chain")
-    cmd.add_argument("expr")
-    cmd.set_defaults(fn=_cmd_search_chain)
-
-    cmd = sub.add_parser("matrix-demo", parents=[common], help="nested-minor section of a generic matrix")
-    cmd.add_argument("--size", type=int, default=3)
-    cmd.set_defaults(fn=_cmd_matrix_demo)
-
-    cmd = sub.add_parser("semigroup", parents=[common], help="splitness of a numerical semigroup ring")
-    cmd.add_argument("--gens", required=True, help="generators, e.g. '2,3'")
-    cmd.set_defaults(fn=_cmd_semigroup)
-
-    cmd = sub.add_parser("p1", parents=[common], help="extension to the projective line")
-    cmd.add_argument("expr")
-    cmd.set_defaults(fn=_cmd_p1)
-
-    cmd = sub.add_parser("corpus", parents=[common], help="run a corpus of cases")
-    cmd.add_argument("action", choices=["run"])
-    cmd.add_argument("file", nargs="?", help="corpus JSON (defaults to the shipped one)")
-    cmd.set_defaults(fn=None)
-
+    for name, (help_text, kind, flags, arguments) in COMMANDS.items():
+        cmd = sub.add_parser(name, parents=[shared[flags]], help=help_text, add_help=False)
+        for argument in arguments.split():
+            cmd.add_argument(argument, **_ARGUMENTS[argument])
+        cmd.set_defaults(kind=kind)
     return parser
 
 
+def _run_subcommand(args: argparse.Namespace) -> Report:
+    """Run a subcommand as a one-check case: ``--vars`` and the expression
+    make the ring and the section, its other flags are the check's fields."""
+    check = dict(vars(args))
+    name, prime, _ = check.pop("command"), check.pop("prime"), check.pop("format")
+    variables, sigma = tuple(check.pop("vars", ())), check.pop("expr", None)
+    if "vars" in args and not variables:
+        raise ParseError("no variables given (use --vars)", 0)
+    case = CorpusCase(name, prime, variables, sigma, (check,))
+    return Report(name, prime, [_run_check(case, check)])
+
+
+def _matrix_demo(n: int, p: int) -> Report:
+    ctx = matrix_context(n, p)
+    coeff = matrix_section_coefficient(ctx, n)
+    factors = CheckResult("factors", [str(f) for f in matrix_factors(ctx, n)])
+    v = check_splitting(TwistedEndo(coeff))
+    origin = {"origin": str(origin_coefficient(coeff))}
+    splitting = CheckResult("splitting", v.kind.value, certificate=origin)
+    found, certificate = _search(coeff)
+    chain = CheckResult("chain", found, passed=found, certificate=certificate)
+    return Report(f"matrix-demo-{n}", p, [factors, splitting, chain])
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    as_json = args.format == "json"
     try:
         if args.command == "corpus":
-            reports, ok = _cmd_corpus(args)
-            for report in reports:
-                _emit(report, args.format)
-            return 0 if ok else 1
-        report = args.fn(args)
-        _emit(report, args.format)
-        return 0 if report.passed else 1
+            reports = [run_case(case) for case in _load_corpus(args.file or shipped_corpus_path())]
+        elif args.command == "matrix-demo":
+            reports = [_matrix_demo(args.size, args.prime)]
+        else:
+            reports = [_run_subcommand(args)]
+        for report in reports:
+            print(json.dumps(report.to_json(), sort_keys=True) if as_json else report.to_text())
     except (ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0 if all(report.passed for report in reports) else 1
 
 
 if __name__ == "__main__":

@@ -144,8 +144,12 @@ class RingContext:
             raise ValueError("a ring context needs at least one variable")
         if len(set(self.variables)) != len(self.variables):
             raise ValueError("variable names must be distinct")
-        if any(not name for name in self.variables):
-            raise ValueError("variable names must be nonempty")
+        for name in self.variables:
+            if not _is_variable_name(name):
+                raise ValueError(
+                    f"invalid variable name {name!r}: use a letter or '_' then letters,"
+                    " digits or '_', and not 'p', which stands for the prime"
+                )
 
     @property
     def arity(self) -> int:
@@ -183,6 +187,18 @@ class RingContext:
 
     def coefficient(self, residue: int) -> Coefficient:
         return Coefficient(residue, self.prime)
+
+
+def _is_variable_name(name: object) -> bool:
+    """True when the parser reads ``name`` as one variable: a NAME token of
+    ``expr._tokenize`` (a letter or ``_``, then letters, digits or ``_``)
+    other than ``p``, which stands for the prime."""
+    return (
+        isinstance(name, str)
+        and name != "p"
+        and (name[:1].isalpha() or name[:1] == "_")
+        and name.replace("_", "a").isalnum()
+    )
 
 
 def ring(p: int, names: str | Sequence[str]) -> RingContext:

@@ -1,0 +1,168 @@
+"""CLI output against recorded golden files, and the exit-code contract:
+0 pass, 1 verdict mismatch, 2 usage or parse error, for malformed input too."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import frobsplit
+from frobsplit.cli import main
+
+GOLDEN = json.loads((Path(__file__).parent / "golden" / "cli.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("record", GOLDEN, ids=[" ".join(r["argv"]) for r in GOLDEN])
+def test_output_matches_golden(record, capsys):
+    code = main(record["argv"])
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err, code) == (record["stdout"], record["stderr"], record["exit"])
+
+
+def _case(**fields):
+    case = {"name": "c", "prime": 3, "variables": ["x", "y"], "sigma": "(x*y)^(p-1)"}
+    case.update(fields)
+    return {key: value for key, value in case.items() if value is not None}
+
+
+def _corpus(*cases):
+    return {"schema": 1, "cases": list(cases)}
+
+
+def _without(key):
+    case = _case(checks=[{"kind": "splitting"}])
+    del case[key]
+    return _corpus(case)
+
+
+MALFORMED = {
+    "top level is a list": [],
+    "no cases": {"schema": 1},
+    "case is not an object": _corpus(5),
+    "no name": _without("name"),
+    "no prime": _without("prime"),
+    "no checks": _without("checks"),
+    "check is not an object": _corpus(_case(checks=["splitting"])),
+    "string prime": _corpus(_case(prime="3", checks=[{"kind": "splitting"}])),
+    "check without kind": _corpus(_case(checks=[{"expected": True}])),
+    "unknown kind": _corpus(_case(checks=[{"kind": "nonsense"}])),
+    "compatible without ideal": _corpus(_case(checks=[{"kind": "compatible"}])),
+    "splitting without sigma": _corpus(_case(sigma=None, checks=[{"kind": "splitting"}])),
+    "fedder without variables": _corpus(_case(variables=None, checks=[{"kind": "fedder", "ideal": ["x"]}])),
+    "variables not a list": _corpus(_case(variables="xy", checks=[{"kind": "splitting"}])),
+}
+
+
+def _write(tmp_path, data) -> str:
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return str(path)
+
+
+def _assert_usage_error(code, captured):
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("data", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_corpus_is_a_usage_error(data, tmp_path, capsys):
+    code = main(["corpus", "run", _write(tmp_path, data)])
+    _assert_usage_error(code, capsys.readouterr())
+
+
+def test_malformed_case_stops_the_run_before_any_output(tmp_path, capsys):
+    good = _case(checks=[{"kind": "splitting", "expected": "Splitting"}])
+    code = main(["corpus", "run", _write(tmp_path, _corpus(good, _case(name=None, checks=[])))])
+    _assert_usage_error(code, capsys.readouterr())
+
+
+def test_expression_errors_in_a_wellformed_corpus_stay_failed_checks(tmp_path, capsys):
+    data = _corpus(_case(sigma="x +", checks=[{"kind": "splitting", "expected": "Splitting"}]))
+    code = main(["corpus", "run", _write(tmp_path, data)])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out.startswith("[FAIL] c.splitting: verdict=error: ")
+
+
+def test_malformed_corpus_under_optimize(tmp_path):
+    """Validation must not rest on ``assert``, which ``python -O`` strips."""
+    path = _write(tmp_path, _corpus(_case(variables=None, checks=[{"kind": "d-split", "divisor": "x"}])))
+    src = str(Path(frobsplit.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    script = "import sys; from frobsplit.cli import main; sys.exit(main(sys.argv[1:]))"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script, "corpus", "run", path],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+def test_corpus_runs_fedder_and_chain_search(tmp_path, capsys):
+    checks = [
+        {"kind": "fedder", "ideal": ["x*y"], "expected": ["x*y"]},
+        {"kind": "chain", "expected": True},
+    ]
+    code = main(["corpus", "run", _write(tmp_path, _corpus(_case(prime=2, checks=checks)))])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.splitlines()[1].startswith("[PASS] c.chain: verdict=True expected=True certificate=")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["certify", "-p", "2", "--vars", "x,y", "(x*y)^(p-1)", "--order", "z"], "unknown variable 'z'"),
+        (["split-check", "-p", "3", "--vars", "p,q", "p*q"], "invalid variable name 'p'"),
+        (["split-check", "-p", "3", "--vars", "x,1y", "x"], "invalid variable name '1y'"),
+        (["d-split", "-p", "3", "--vars", "x", "x^2", "--divisor", "0"], "the divisor must be nonzero"),
+    ],
+)
+def test_bad_input_is_a_usage_error(argv, message, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    _assert_usage_error(code, captured)
+    assert message in captured.err
+
+
+# A valid call of every subcommand but compat, which reads --method.
+BASE_ARGV = {
+    "split-check": ["split-check", "--vars", "x", "x"],
+    "fedder": ["fedder", "--vars", "x", "--ideal", "x"],
+    "exists-split": ["exists-split", "--vars", "x", "--ideal", "x"],
+    "d-split": ["d-split", "--vars", "x", "x", "--divisor", "x"],
+    "certify": ["certify", "--vars", "x", "x", "--order", "x"],
+    "search-chain": ["search-chain", "--vars", "x", "x"],
+    "matrix-demo": ["matrix-demo", "--size", "2"],
+    "semigroup": ["semigroup", "--gens", "2,3"],
+    "p1": ["p1", "--vars", "x", "x"],
+    "corpus": ["corpus", "run"],
+}
+
+# The flags each subcommand used to accept and ignore.
+IGNORED_FLAGS = (
+    [(command, "--method") for command in BASE_ARGV]
+    + [(command, "--vars") for command in ("matrix-demo", "semigroup", "corpus")]
+    + [("corpus", "--prime")]
+)
+
+
+@pytest.mark.parametrize("command, flag", IGNORED_FLAGS)
+def test_flags_a_subcommand_does_not_read_are_rejected(command, flag, capsys):
+    argv = BASE_ARGV[command]
+    value = {"--method": "finite", "--vars": "x", "--prime": "3"}[flag]
+    assert main(argv) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err

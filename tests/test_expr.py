@@ -3,8 +3,12 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from frobsplit import ParseError, parse_expr, ring
+from frobsplit.expr import _tokenize
+from frobsplit.fparith import _is_variable_name
 from _util import rand_poly
 
 
@@ -114,3 +118,13 @@ def test_round_trip_random(p):
         for _ in range(30):
             f = rand_poly(rng, ctx, max_deg=5, max_terms=5)
             assert parse_expr(str(f), ctx) == f
+
+
+@given(st.one_of(st.text(max_size=5), st.from_regex(r"\w{1,5}", fullmatch=True)))
+def test_variable_name_rule_matches_the_tokenizer(text):
+    try:
+        tokens = [tok[:2] for tok in _tokenize(text)]
+    except ParseError:
+        tokens = []
+    one_name = tokens == [("name", text), ("end", "")]
+    assert _is_variable_name(text) == (one_name and text != "p")

@@ -20,6 +20,7 @@ from frobsplit import (
     ring,
     substitute_zero,
 )
+from frobsplit.expr import parse_expr
 from frobsplit.fparith import grevlex_key, monomial_divides
 from _util import contexts, polys, rand_poly, schoolbook_mul
 
@@ -84,6 +85,18 @@ def test_context_validation():
         ring(3, [])
     ctx = ring(3, "x y")
     assert ctx.arity == 2 and ctx.p == 3
+
+
+@pytest.mark.parametrize("name", ["p", "1y", "x y", "x.y", "x+", ""])
+def test_context_rejects_names_the_parser_cannot_read(name):
+    with pytest.raises(ValueError, match="invalid variable name"):
+        ring(3, ["x", name])
+
+
+def test_context_names_round_trip_through_the_parser():
+    ctx = ring(3, ["_t", "x11", "a42", "X_1"])
+    f = ctx.variable("_t") * ctx.variable("x11") + ctx.variable("a42") ** 2 - ctx.variable("X_1")
+    assert parse_expr(str(f), ctx) == f
 
 
 def test_add_inverse_cancels():
