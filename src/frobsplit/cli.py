@@ -24,7 +24,7 @@ from importlib import resources
 from typing import Any, Callable, Sequence
 
 from .expr import ParseError, parse_expr
-from .fparith import Polynomial, ring
+from .fparith import Polynomial, Prime, RingContext, ring
 from .idealtheory import (
     IdealPresentation,
     buchberger,
@@ -127,6 +127,12 @@ class CorpusCase:
     variables: tuple[str, ...]
     sigma: str | None
     checks: tuple[dict, ...]
+    context: RingContext | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        """Build the ring once: it validates the prime and the names."""
+        Prime(self.prime)
+        object.__setattr__(self, "context", ring(self.prime, self.variables) if self.variables else None)
 
     @classmethod
     def from_json(cls, obj: Any) -> "CorpusCase":
@@ -153,7 +159,10 @@ class CorpusCase:
             for key in CHECKS[kind][0]:
                 if not (obj if key in ("variables", "sigma") else check).get(key):
                     raise ValueError(f"case {name!r}: a {kind!r} check needs {key!r}")
-        return cls(name, obj["prime"], tuple(variables), obj.get("sigma"), tuple(checks))
+        try:
+            return cls(name, obj["prime"], tuple(variables), obj.get("sigma"), tuple(checks))
+        except ValueError as exc:
+            raise ValueError(f"case {name!r}: {exc}") from None
 
 
 class _Run:
@@ -162,7 +171,7 @@ class _Run:
     def __init__(self, case: CorpusCase, check: dict):
         self.case = case
         self.check = check
-        self.ctx = ring(case.prime, case.variables) if case.variables else None
+        self.ctx = case.context
 
     def poly(self, text: str) -> Polynomial:
         if self.ctx is None:

@@ -11,16 +11,15 @@ given generators and order is unique and the whole pipeline is
 deterministic.  On top of it sit the Frobenius bracket power I^[p],
 colon ideals by tag-variable elimination, the colon module (I^[p] : I)
 whose elements are exactly the coefficients of twisted endomorphisms
-compatible with I (Fedder's criterion), an independent finite
-compatibility check used to cross-validate it, the existence test for
-compatible splittings, and nilpotency witnesses.
+compatible with I (Fedder's criterion), an independent check by p-th-root
+decomposition used to cross-validate it, the existence test for
+compatible splittings on the same decomposition, and nilpotency witnesses.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from functools import partial
+from functools import partial, reduce
 from heapq import heappop, heappush
 from operator import add, neg, sub
 from typing import Callable
@@ -41,10 +40,7 @@ from .fparith import (
     monomial_lcm,
     monomial_mul,
 )
-from .splitcore import TwistedEndo, frobenius_trace
-
-COMPAT_ENUM_LIMIT = 4096
-"""Largest p^n the finite compatibility check will enumerate."""
+from .splitcore import TwistedEndo, frobenius_roots
 
 
 @dataclass(frozen=True)
@@ -359,12 +355,7 @@ def fedder_module(I: IdealPresentation) -> IdealPresentation:
     if I.is_zero_ideal():
         return I
     Ip = frobenius_power_ideal(I)
-    result: IdealPresentation | None = None
-    for g in I.generators:
-        piece = colon(Ip, g)
-        result = piece if result is None else intersect(result, piece)
-    assert result is not None
-    return result
+    return reduce(intersect, (colon(Ip, g) for g in I.generators))
 
 
 def is_compatible(
@@ -373,11 +364,12 @@ def is_compatible(
     """Does sigma map the ideal I into itself?
 
     method "fedder" tests membership of the coefficient in the colon
-    module (I^[p] : I).  method "finite" checks, for every generator g
-    and every exponent vector a in [0, p-1]^n, that the trace of
-    coeff * g * x^a lies in I; this is complete because every polynomial
-    is a combination sum_a h_a^p x^a.  method "both" runs the two and
-    raises if they ever disagree.
+    module (I^[p] : I).  method "finite" checks, for every generator g,
+    that every root h_b of coeff * g = sum_b x^b * h_b^p lies in I, with
+    no colon computed.  This is complete: sigma(I) lies in I iff every
+    trace(x^a * coeff * g) with a in [0, p-1]^n does, since every
+    polynomial is a combination sum_a r_a^p x^a, and that trace is
+    h_{(p-1)-a}.  method "both" runs the two and raises if they disagree.
     """
     if sigma.context != I.context:
         raise ContextMismatchError("endomorphism and ideal from different rings")
@@ -395,21 +387,10 @@ def is_compatible(
     if method == "fedder":
         return buchberger(fedder_module(I)).contains(sigma.coeff)
     if method == "finite":
-        ctx = I.context
-        n, p = ctx.arity, ctx.p
-        if p**n > COMPAT_ENUM_LIMIT:
-            raise ValueError(
-                f"finite check needs p^n = {p**n} trace evaluations; "
-                f"limit is {COMPAT_ENUM_LIMIT}"
-            )
         G = buchberger(I)
-        for g in I.generators:
-            base = sigma.coeff * g
-            for a in itertools.product(range(p), repeat=n):
-                shifted = base * ctx.monomial(a)
-                if not normal_form(frobenius_trace(shifted), G).is_zero():
-                    return False
-        return True
+        return all(
+            G.contains(h) for g in I.generators for h in frobenius_roots(sigma.coeff * g).values()
+        )
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -422,27 +403,19 @@ class ExistsSplitVerdict:
 def exists_compatible_splitting(I: IdealPresentation) -> ExistsSplitVerdict:
     """Is there any splitting compatible with I?
 
-    The traces of x^a * c over generators c of (I^[p] : I) and exponent
-    vectors a in [0, p-1]^n generate the ideal of all values sigma(1)
-    with sigma compatible with I; a compatible splitting exists iff that
-    ideal is the whole ring.  Its reduced basis is returned as the
-    obstruction (it is (1) exactly when a splitting exists).
+    The traces of x^a * c over generators c of (I^[p] : I) and a in
+    [0, p-1]^n generate the ideal of all values sigma(1) with sigma
+    compatible with I.  As trace(x^a * c) = h_{(p-1)-a} for
+    c = sum_b x^b * h_b^p, the roots h_b of the c generate it, with none
+    missed.  A compatible splitting exists iff that ideal is the whole
+    ring; its reduced basis is returned as the obstruction.
     """
     ctx = I.context
-    n, p = ctx.arity, ctx.p
     if I.is_zero_ideal():
         # No constraint at all: the standard splitting works.
         return ExistsSplitVerdict(True, buchberger(IdealPresentation(ctx, (ctx.one(),))))
-    if p**n > COMPAT_ENUM_LIMIT:
-        raise ValueError(f"existence check needs p^n = {p**n} trace evaluations")
-    C = fedder_module(I)
-    values: set[Polynomial] = set()
-    for c in C.generators:
-        for a in itertools.product(range(p), repeat=n):
-            v = frobenius_trace(ctx.monomial(a) * c)
-            if not v.is_zero():
-                values.add(v)
-    G = buchberger(IdealPresentation(ctx, tuple(values)))
+    roots = [h for c in fedder_module(I).generators for h in frobenius_roots(c).values()]
+    G = buchberger(IdealPresentation(ctx, roots))
     return ExistsSplitVerdict(G.is_unit_ideal(), G)
 
 

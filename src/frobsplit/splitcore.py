@@ -21,6 +21,7 @@ from enum import Enum
 from .fparith import (
     Coefficient,
     ContextMismatchError,
+    Monomial,
     NotDivisibleError,
     Polynomial,
     Prime,
@@ -51,6 +52,18 @@ def frobenius_trace(f: Polynomial) -> Polynomial:
         if all(e % p == p - 1 for e in m):
             out[tuple((e - (p - 1)) // p for e in m)] = c
     return Polynomial._raw(f.context, out)
+
+
+def frobenius_roots(f: Polynomial) -> dict[Monomial, Polynomial]:
+    """The p-th-root decomposition f = sum_b x^b * h_b^p over b in [0, p-1]^n:
+    each nonzero h_b by its b, from one divmod per exponent per term.  As
+    trace(x^a * f) = h_{(p-1)-a}, these are all the traces of f at once."""
+    p = f.context.p
+    roots: dict[Monomial, dict[Monomial, int]] = {}
+    for m, c in f.terms.items():
+        q, b = zip(*(divmod(e, p) for e in m))
+        roots.setdefault(b, {})[q] = c
+    return {b: Polynomial._raw(f.context, terms) for b, terms in roots.items()}
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ import random
 
 from hypothesis import strategies as st
 
-from frobsplit import Polynomial, RingContext, ring
+from frobsplit import IdealPresentation, Polynomial, RingContext, ring
 
 
 def rand_poly(
@@ -49,6 +49,13 @@ contexts = st.builds(
 )
 """Small rings F_p[x0..x{n-1}] for property tests."""
 
+wide_contexts = st.builds(
+    lambda p, n: ring(p, [f"x{i}" for i in range(n)]),
+    st.sampled_from([2, 3, 5, 7]),
+    st.integers(1, 12),
+).filter(lambda ctx: ctx.p**ctx.arity <= 4096)
+"""Rings with up to p^n = 4096 exponent vectors in [0, p-1]^n."""
+
 
 @st.composite
 def polys(draw, ctx: RingContext, max_exp: int = 3, max_terms: int = 5, nonzero: bool = False):
@@ -60,3 +67,12 @@ def polys(draw, ctx: RingContext, max_exp: int = 3, max_terms: int = 5, nonzero:
         )
     )
     return Polynomial(ctx, terms)
+
+
+@st.composite
+def ideals(draw, ctx: RingContext, max_gens: int = 2, max_exp: int = 2, max_terms: int = 3):
+    """Nonzero ideals of ``ctx`` given by 1 to ``max_gens`` generators."""
+    gens = draw(
+        st.lists(polys(ctx, max_exp, max_terms, nonzero=True), min_size=1, max_size=max_gens)
+    )
+    return IdealPresentation(ctx, gens)

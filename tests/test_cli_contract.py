@@ -53,6 +53,11 @@ MALFORMED = {
     "splitting without sigma": _corpus(_case(sigma=None, checks=[{"kind": "splitting"}])),
     "fedder without variables": _corpus(_case(variables=None, checks=[{"kind": "fedder", "ideal": ["x"]}])),
     "variables not a list": _corpus(_case(variables="xy", checks=[{"kind": "splitting"}])),
+    "prime not prime": _corpus(_case(prime=4, checks=[{"kind": "splitting"}])),
+    "prime not prime without variables": _corpus(
+        _case(prime=4, variables=None, sigma=None, checks=[{"kind": "semigroup", "generators": [2, 3]}])
+    ),
+    "unreadable variable": _corpus(_case(variables=["p"], sigma="p", checks=[{"kind": "splitting"}])),
 }
 
 
@@ -132,6 +137,35 @@ def test_bad_input_is_a_usage_error(argv, message, capsys):
     captured = capsys.readouterr()
     _assert_usage_error(code, captured)
     assert message in captured.err
+
+
+DET3 = "x11*x22*x33 + x12*x23*x31 + x13*x21*x32 - x13*x22*x31 - x12*x21*x33 - x11*x23*x32"
+DET3_VARS = "x11,x12,x13,x21,x22,x23,x31,x32,x33"
+
+
+# Each was refused (exit 2, "needs p^n = ...") while the finite check and the
+# existence test enumerated [0, p-1]^n up to p^n = 4096.
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        (
+            ["exists-split", "-p", "11", "--vars", "x,y,z,w", "--ideal", "x*y-z*w"],
+            '[PASS] exists-split.exists-split: verdict=True certificate={"obstruction": ["1"]}\n',
+        ),
+        (
+            ["compat", "-p", "3", "--vars", DET3_VARS, "--method", "both", f"({DET3})^2", "--ideal", DET3],
+            "[PASS] compat.compatible: verdict=True\n",
+        ),
+        (
+            ["compat", "-p", "3", "--vars", DET3_VARS, "--method", "both", f"({DET3})^2 + x11", "--ideal", DET3],
+            "[PASS] compat.compatible: verdict=False\n",
+        ),
+    ],
+    ids=["exists-split p^n=14641", "compat det3 p^n=19683", "compat det3 perturbed"],
+)
+def test_formerly_refused_calls_are_decided(argv, out, capsys):
+    assert main(argv) == 0
+    assert capsys.readouterr() == (out, "")
 
 
 # A valid call of every subcommand but compat, which reads --method.

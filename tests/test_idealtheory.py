@@ -1,5 +1,6 @@
 """Groebner engine, colon ideals, compatibility, and existence checks."""
 
+import itertools
 import random
 
 import pytest
@@ -16,16 +17,19 @@ from frobsplit import (
     exists_compatible_splitting,
     fedder_module,
     frobenius_power_ideal,
+    frobenius_trace,
     ideal,
     intersect,
     is_compatible,
     nilpotent_witness,
     normal_form,
     parse_expr,
+    matrix_context,
+    minor,
     ring,
     s_polynomial,
 )
-from _util import contexts, polys, rand_poly
+from _util import contexts, ideals, polys, rand_poly, wide_contexts
 
 ORDERS = [MonomialOrder.lex(), MonomialOrder.grevlex(), MonomialOrder.elim(1)]
 
@@ -222,11 +226,22 @@ def test_compatible_with_zero_ideal():
     assert is_compatible(sigma, IdealPresentation(ctx, []), "both")
 
 
-def test_finite_check_enumeration_cap():
+def test_formerly_refused_inputs_are_decided():
+    # p^n = 8192, 19683 and 14641: each was refused while the finite check
+    # and the existence test enumerated [0, p-1]^n up to p^n = 4096.
     ctx = ring(2, [f"x{i}" for i in range(13)])
-    sigma = TwistedEndo(ctx.one())
-    with pytest.raises(ValueError):
-        is_compatible(sigma, IdealPresentation(ctx, [ctx.variable(0)]), "finite")
+    sigma, I = TwistedEndo(ctx.one()), IdealPresentation(ctx, [ctx.variable(0)])
+    assert is_compatible(sigma, I, "finite") is is_compatible(sigma, I, "fedder") is False
+
+    ctx = matrix_context(3, 3)
+    det = minor(ctx, 3, [0, 1, 2], [0, 1, 2])
+    for section, want in ((det * det, True), (det * det + ctx.variable(0), False)):
+        sigma = TwistedEndo(section)
+        assert [is_compatible(sigma, ideal(det), m) for m in ("finite", "fedder", "both")] == [want] * 3
+
+    res = exists_compatible_splitting(_ideal(ring(11, "x y z w"), "x*y-z*w"))
+    assert res.exists
+    assert [str(g) for g in res.obstruction.basis] == ["1"]
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -414,3 +429,51 @@ def test_buchberger_matches_sympy_property(data, order_name):
         poly = sympy.Poly(e, *syms, modulus=ctx.p)
         theirs.append(str(Polynomial(ctx, {tuple(m): int(c) % ctx.p for m, c in poly.terms()})))
     assert sorted(mine) == sorted(theirs)
+
+
+def _shifts(ctx):
+    return [ctx.monomial(a) for a in itertools.product(range(ctx.p), repeat=ctx.arity)]
+
+
+def _finite_by_enumeration(sigma, I):
+    """The "finite" check as p^n traces per generator, one for each x^a
+    with a in [0, p-1]^n: the reference for the root decomposition."""
+    G = buchberger(I)
+    shifts = _shifts(I.context)
+    return all(
+        G.contains(frobenius_trace(sigma.coeff * g * x)) for g in I.generators for x in shifts
+    )
+
+
+def _exists_by_enumeration(I):
+    """(exists, obstruction basis) from p^n traces per Fedder-module
+    generator: the reference for the root decomposition."""
+    shifts = _shifts(I.context)
+    values = [frobenius_trace(x * c) for c in fedder_module(I).generators for x in shifts]
+    G = buchberger(IdealPresentation(I.context, values))
+    return G.is_unit_ideal(), G.basis
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_finite_check_matches_enumeration(data):
+    ctx = data.draw(wide_contexts)
+    I = data.draw(ideals(ctx, max_terms=2))
+    section = data.draw(polys(ctx, max_exp=2, max_terms=2))
+    if data.draw(st.booleans()):
+        # The product of the generators to the p-1 is in (I^[p] : I).
+        product = ctx.one()
+        for g in I.generators:
+            product = product * g
+        section = section * product.pow_p_minus_1()
+    sigma = TwistedEndo(section)
+    assert is_compatible(sigma, I, "finite") == _finite_by_enumeration(sigma, I)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_exists_split_matches_enumeration(data):
+    ctx = data.draw(contexts)
+    I = data.draw(ideals(ctx))
+    res = exists_compatible_splitting(I)
+    assert (res.exists, res.obstruction.basis) == _exists_by_enumeration(I)

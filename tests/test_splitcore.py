@@ -1,8 +1,11 @@
 """Twisted endomorphisms, splitting verdicts, localization, P1, semigroups."""
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frobsplit import (
     ContextMismatchError,
@@ -13,6 +16,7 @@ from frobsplit import (
     TwistedEndo,
     VerdictKind,
     check_splitting,
+    frobenius_roots,
     frobenius_trace,
     homogeneous_fastpath,
     is_divisor_splitting,
@@ -23,7 +27,7 @@ from frobsplit import (
     semigroup_split_check,
     tensor,
 )
-from _util import rand_poly
+from _util import contexts, polys, rand_poly
 
 
 def _splitting_coeff(rng, ctx, extra_terms=3):
@@ -343,3 +347,38 @@ def test_semigroup_witness_certifies():
             assert v.split is False
             assert v.witness not in s
             assert p * v.witness in s
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_frobenius_roots_reassemble(data):
+    ctx = data.draw(contexts)
+    f = data.draw(polys(ctx, max_exp=3 * ctx.p, max_terms=8))
+    roots = frobenius_roots(f)
+    assert all(not h.is_zero() for h in roots.values())
+    total = ctx.zero()
+    for b, h in roots.items():
+        total = total + ctx.monomial(b) * h.frobenius()
+    assert total == f
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_frobenius_roots_of_a_single_component(data):
+    ctx = data.draw(contexts)
+    g = data.draw(polys(ctx, nonzero=True))
+    b = data.draw(st.tuples(*[st.integers(0, ctx.p - 1)] * ctx.arity))
+    assert frobenius_roots(g.frobenius() * ctx.monomial(b)) == {b: g}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_frobenius_roots_are_the_traces(data):
+    # trace(x^a * f) = h_{(p-1)-a}: the roots are every trace at once.
+    ctx = data.draw(contexts.filter(lambda c: c.p**c.arity <= 256))
+    f = data.draw(polys(ctx, max_exp=3 * ctx.p, max_terms=8))
+    roots = frobenius_roots(f)
+    p = ctx.p
+    for a in itertools.product(range(p), repeat=ctx.arity):
+        b = tuple(p - 1 - e for e in a)
+        assert frobenius_trace(ctx.monomial(a) * f) == roots.get(b, ctx.zero())
