@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass, field
 from importlib import resources
@@ -340,6 +341,11 @@ COMMANDS: dict[str, tuple[str, str | None, str, str]] = {
 }
 
 
+# Arguments argparse must not take for options: negative numbers and lists
+# of them, so that "--gens -3,5" reaches the check of the generators.
+_NEGATIVE_NUMBERS = re.compile(r"^-\d[\d,]*$")
+
+
 def build_parser() -> argparse.ArgumentParser:
     # Shared flags and -h come through parent parsers, each extending the one
     # before: copying an action is cheaper than add_argument.
@@ -357,6 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, kind, flags, arguments) in COMMANDS.items():
         cmd = sub.add_parser(name, parents=[shared[flags]], help=help_text, add_help=False)
+        cmd._negative_number_matcher = _NEGATIVE_NUMBERS
         for argument in arguments.split():
             cmd.add_argument(argument, **_ARGUMENTS[argument])
         cmd.set_defaults(kind=kind)

@@ -15,14 +15,23 @@ The token ``p`` stands for the ring's prime, so exponents like
 non-negative integers once p is bound.  Multiplication is always
 explicit (``x*y``, never ``xy``), matching the canonical rendering,
 so parse(str(f)) == f.
+
+Evaluation has a size budget, checked before anything is expanded: an
+integer in an exponent, and every exponent a power produces, has at most
+``MAX_EXPONENT_BITS`` bits, and a product or power whose estimated work
+in term products exceeds ``MAX_TERM_PRODUCTS`` is refused.  The estimate
+of each power's terms is ``fparith.log_power_terms``; it ignores the
+cancellations of characteristic p, so it may refuse a power that would
+have come out sparse.  Refusals are ``ParseError``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import exp, log
 from typing import Union
 
-from .fparith import Polynomial, RingContext
+from .fparith import Polynomial, RingContext, log_power_terms
 
 
 class ParseError(ValueError):
@@ -190,10 +199,29 @@ def parse_ast(text: str) -> ExprAst:
     return node
 
 
+MAX_EXPONENT_BITS = 1024
+"""Bits allowed in an integer in an exponent and in an exponent a power
+produces: x^(p^11) at p near 2^81 fits, x^(2^(2^40)) does not."""
+
+MAX_TERM_PRODUCTS = 10**7
+"""Term products allowed, by estimate, in one product or power, a few
+seconds of work: (x+y)^(10^6) is refused at once."""
+
+
+def _check_bits(bits: int, pos: int) -> None:
+    if bits > MAX_EXPONENT_BITS:
+        raise ParseError(f"exponent too large: over {MAX_EXPONENT_BITS} bits", pos)
+
+
+def _checked(value: int, pos: int) -> int:
+    _check_bits(value.bit_length(), pos)
+    return value
+
+
 def _eval_int(node: ExprAst, p: int) -> int:
     """Evaluate an exponent subtree to an integer with p bound."""
     if isinstance(node, Num):
-        return node.value
+        return _checked(node.value, node.pos)
     if isinstance(node, PrimeSym):
         return p
     if isinstance(node, Neg):
@@ -201,16 +229,21 @@ def _eval_int(node: ExprAst, p: int) -> int:
     if isinstance(node, BinOp):
         a, b = _eval_int(node.left, p), _eval_int(node.right, p)
         if node.op == "+":
-            return a + b
+            return _checked(a + b, node.pos)
         if node.op == "-":
-            return a - b
+            return _checked(a - b, node.pos)
         if node.op == "*":
-            return a * b
+            # The product has at least this many bits.
+            _check_bits(a.bit_length() + b.bit_length() - 1, node.pos)
+            return _checked(a * b, node.pos)
     if isinstance(node, Pow):
         e = _eval_int(node.exponent, p)
         if e < 0:
             raise ParseError("negative exponent", node.pos)
-        return _eval_int(node.base, p) ** e
+        base = _eval_int(node.base, p)
+        if abs(base) > 1:
+            _check_bits((abs(base).bit_length() - 1) * e + 1, node.pos)
+        return _checked(base**e, node.pos)
     if isinstance(node, Var):
         raise ParseError(f"variable {node.name!r} not allowed in an exponent", node.pos)
     raise ParseError("malformed exponent", getattr(node, "pos", 0))
@@ -235,13 +268,51 @@ def _eval_poly(node: ExprAst, context: RingContext) -> Polynomial:
             return a + b
         if node.op == "-":
             return a - b
+        _check_product(a, b, node.pos)
         return a * b
     if isinstance(node, Pow):
         e = _eval_int(node.exponent, p)
         if e < 0:
             raise ParseError(f"exponent evaluates to {e}", node.pos)
-        return _eval_poly(node.base, context) ** e
+        base = _eval_poly(node.base, context)
+        _check_power(base, e, node.pos)
+        return base**e
     raise ParseError("malformed expression", getattr(node, "pos", 0))
+
+
+def _check_product(a: Polynomial, b: Polynomial, pos: int) -> None:
+    # A product's exponents are sums of checked ones, so they grow by at
+    # most a bit per product written out; only its size needs a check.
+    if len(a.terms) * len(b.terms) > MAX_TERM_PRODUCTS:
+        raise ParseError(f"product too large: {len(a.terms)} by {len(b.terms)} terms", pos)
+
+
+def _check_power(f: Polynomial, e: int, pos: int) -> None:
+    """Refuse f^e when its exponents or the estimated term products of
+    ``Polynomial.__pow__`` (square and multiply) exceed the budget."""
+    t = len(f.terms)
+    d = max(f.total_degree(), 0)
+    _check_bits((d * e).bit_length(), pos)
+    if t < 2:
+        return
+    cap = log(MAX_TERM_PRODUCTS) + 1
+
+    def log_terms(k: int) -> float:
+        return log_power_terms(t, f.context.arity, d, k, cap)
+
+    cost = 0.0
+    low, high = 0, 1  # result = f^low and base = f^high, as in __pow__
+    k = e
+    while k:
+        if k & 1:
+            cost += exp(min(log_terms(low) + log_terms(high), cap))
+            low += high
+        if k > 1:
+            cost += exp(min(2 * log_terms(high), cap))
+            high *= 2
+        if cost > MAX_TERM_PRODUCTS:
+            raise ParseError(f"power too large: a {t}-term polynomial to the {e}", pos)
+        k >>= 1
 
 
 def parse_expr(text: str, context: RingContext) -> Polynomial:

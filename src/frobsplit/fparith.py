@@ -11,17 +11,31 @@ primitives everything else builds on: the Frobenius power f -> f^p
 (computed by exponent scaling, never by expansion), the ubiquitous
 f^(p-1), and the division engine (``divide_terms``) that both exact
 division here and Groebner reduction in ``idealtheory`` run on.
+
+The division engine works on packed keys (``Packing``): a monomial
+order's fields, each an exponent sum or its negation, side by side in
+one int with a guard bit above each, so that ascending ints are
+descending monomials.  The key is affine in the exponents, so a
+multiple of a term is one int addition, and divisibility is one
+subtraction and mask on the guard bits (Monagan and Pearce, CASC 2007;
+J. Symb. Comp. 46, 2011).  A new term whose guard bit is set has left its
+field; ``PackingOverflow`` is raised and ``packed_call`` reruns the
+computation at double width, so no field ever wraps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from operator import add, le, sub
-from typing import Callable, Iterator, Mapping, Sequence
+from math import log
+from operator import add, mul
+from typing import Callable, Iterator, Mapping, Sequence, TypeVar
 
 Monomial = tuple[int, ...]
 """Exponent vector; entry i is the exponent of the context's i-th variable."""
+
+T = TypeVar("T")
 
 
 class ContextMismatchError(ValueError):
@@ -433,69 +447,179 @@ def monomial_divides(a: Monomial, b: Monomial) -> bool:
     return all(ea <= eb for ea, eb in zip(a, b))
 
 
-def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(ea + eb for ea, eb in zip(a, b))
+Layout = tuple[tuple[bool, tuple[int, ...]], ...]
+"""The fields of a packed monomial order, most significant first: each is
+(negated, variable indices) and holds the sum of those exponents, negated
+when asked.  Comparing the fields lexicographically, smallest first, must
+list monomials from the largest down."""
 
 
-def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(ea, eb) for ea, eb in zip(a, b))
+@lru_cache(maxsize=None)
+def grevlex_layout(arity: int) -> Layout:
+    """Fields of ``grevlex_desc_key``: -deg, then x_n, ..., x_1."""
+    return ((True, tuple(range(arity))),) + tuple((False, (i,)) for i in reversed(range(arity)))
 
 
-Divisor = tuple[Monomial, int, tuple[tuple[Monomial, int], ...]]
-"""A divisor prepared for ``divide_terms``: its leading monomial, the
-inverse of its leading coefficient, and its other terms."""
+class PackingOverflow(ArithmeticError):
+    """A packed exponent field overflowed; ``packed_call`` retries wider."""
 
 
-def make_divisor(terms: Mapping[Monomial, int], lead: Monomial, p: int) -> Divisor:
-    """Prepare a polynomial's terms, whose leading monomial is ``lead``,
-    for ``divide_terms``; a monic divisor needs no inversion."""
+class Packing:
+    """Monomials of one order and arity packed into ints, ``bits`` per field.
+
+    A field holds its exponent sum s, or D - s when negated, where
+    D = 2^bits - 1, and has a guard bit above it that every in-range key
+    leaves clear.  The key is affine in the exponent vector,
+    ``key(m) = base + sum(m_i * weights[i])``, so ascending ints are
+    descending monomials, key(m*s) = key(m) + key(s) - base, and the sum
+    of two in-range keys minus ``base`` sets a guard bit exactly when a
+    field of the product leaves [0, D]: that is how overflow is seen.
+    ``key ^ base`` is the positive form, every field a plain exponent sum,
+    in which x^a divides x^b iff ((pos(b) | guards) - pos(a)) & guards
+    == guards (no field borrows).
+    """
+
+    __slots__ = ("layout", "bits", "mask", "weights", "base", "guards", "shifts")
+
+    def __init__(self, layout: Layout, bits: int):
+        width = bits + 1
+        arity = 1 + max(i for _, indices in layout for i in indices)
+        self.layout = layout
+        self.bits = bits
+        self.mask = mask = (1 << bits) - 1
+        weights = [0] * arity
+        shifts: list[int | None] = [None] * arity
+        base = guards = 0
+        for f, (negated, indices) in enumerate(reversed(layout)):
+            pos = f * width
+            guards |= 1 << (pos + bits)
+            if negated:
+                base |= mask << pos
+            for i in indices:
+                weights[i] += -(1 << pos) if negated else 1 << pos
+            if len(indices) == 1 and shifts[indices[0]] is None:
+                shifts[indices[0]] = pos
+        self.weights = tuple(weights)
+        self.base = base
+        self.guards = guards
+        self.shifts = tuple(shifts)
+
+    def wider(self) -> "Packing":
+        return packing(self.layout, 2 * self.bits)
+
+    def pack(self, m: Monomial) -> int:
+        """The key of m; m must fit (``fit_bits``)."""
+        return sum(map(mul, m, self.weights), self.base)
+
+    def unpack(self, key: int) -> Monomial:
+        pos, mask = key ^ self.base, self.mask
+        return tuple([(pos >> s) & mask for s in self.shifts])
+
+    def pack_terms(self, terms: Mapping[Monomial, int]) -> dict[int, int]:
+        weights, base = self.weights, self.base
+        return {sum(map(mul, m, weights), base): c for m, c in terms.items()}
+
+    def unpack_terms(self, terms: Mapping[int, int]) -> dict[Monomial, int]:
+        # ``unpack`` written out: this runs once per term of every result.
+        base, mask, shifts = self.base, self.mask, self.shifts
+        return {
+            tuple([((k ^ base) >> s) & mask for s in shifts]): c for k, c in terms.items()
+        }
+
+
+@lru_cache(maxsize=None)
+def packing(layout: Layout, bits: int) -> Packing:
+    return Packing(layout, bits)
+
+
+_START_BITS = 8
+
+
+def fit_bits(degree: int) -> int:
+    """The narrowest field width, 8 bits doubled as often as needed, that
+    holds every exponent sum of a monomial of total degree ``degree``."""
+    bits = _START_BITS
+    while degree >> bits:
+        bits *= 2
+    return bits
+
+
+def packed_call(pk: Packing, run: Callable[[Packing], T]) -> T:
+    """``run`` on ``pk``, rerun at double width each time a field overflows."""
+    while True:
+        try:
+            return run(pk)
+        except PackingOverflow:
+            pk = pk.wider()
+
+
+def degree(terms: Mapping[Monomial, int]) -> int:
+    """The total degree of nonempty terms, as ``fit_bits`` takes it."""
+    return max(map(sum, terms))
+
+
+Divisor = tuple[int, int, int, tuple[tuple[int, int], ...]]
+"""A divisor prepared for ``divide_terms``: the key of its leading
+monomial, that key's positive form, the inverse of its leading
+coefficient, and its other terms by key."""
+
+
+def make_divisor(terms: Mapping[int, int], lead: int, p: int, pk: Packing) -> Divisor:
+    """Prepare packed terms, whose leading key is ``lead``, for
+    ``divide_terms``; a monic divisor needs no inversion."""
     c = terms[lead]
     inv = 1 if c == 1 else pow(c, p - 2, p)
-    return lead, inv, tuple((m, c) for m, c in terms.items() if m != lead)
+    return lead, lead ^ pk.base, inv, tuple((m, c) for m, c in terms.items() if m != lead)
 
 
 def divide_terms(
-    terms: Mapping[Monomial, int],
+    terms: Mapping[int, int],
     divisors: Sequence[Divisor],
     p: int,
-    desc_key: Callable[[Monomial], tuple],
-    quotient: dict[Monomial, int] | None = None,
-) -> dict[Monomial, int]:
-    """Multivariate division; returns the fully reduced remainder.
+    pk: Packing,
+    quotient: dict[int, int] | None = None,
+) -> dict[int, int]:
+    """Multivariate division on packed keys; returns the fully reduced
+    remainder.
 
-    ``desc_key`` must be injective, with ascending order the descending
-    monomial order.  The leading term is always reduced by the first
-    divisor whose leading monomial divides it.  Each monomial's key is
-    computed once, when it enters the heap; a term that cancels stays on
-    the heap with coefficient 0 and is skipped when popped.  The
+    The leading term is always reduced by the first divisor whose leading
+    monomial divides it.  The heap holds bare keys, the smallest being
+    the largest monomial; a term that cancels stays on the heap with
+    coefficient 0 and is skipped when popped.  A multiple of a tail term
+    is one int add, and its guard bits are checked when it first enters,
+    raising ``PackingOverflow`` (a key already present is in range).  The
     remainder's terms come out in descending order, so its first key is
     its leading monomial.  ``quotient``, when given, collects every
-    multiple taken (shift -> factor); it is the quotient when there is a
-    single divisor.
+    multiple taken (shift key -> factor); it is the quotient when there
+    is a single divisor.
     """
+    base, guards = pk.base, pk.guards
     work = dict(terms)
-    heap = [(desc_key(m), m) for m in work]
+    heap = list(work)
     heapify(heap)
     get = work.get
-    remainder: dict[Monomial, int] = {}
+    remainder: dict[int, int] = {}
     while heap:
-        lead = heappop(heap)[1]
+        lead = heappop(heap)
         c = work.pop(lead)
         if not c:
             continue
-        for lm, inv, tail in divisors:
-            if all(map(le, lm, lead)):
-                shift = tuple(map(sub, lead, lm))
+        pos = (lead ^ base) | guards
+        for lk, ld, inv, tail in divisors:
+            if (pos - ld) & guards == guards:
+                shift = lead - lk
                 factor = c * inv % p
                 if quotient is not None:
-                    quotient[shift] = factor
+                    quotient[shift + base] = factor
                 neg = p - factor
                 for m, gc in tail:
-                    t = tuple(map(add, m, shift))
+                    t = m + shift
                     old = get(t)
                     if old is None:
+                        if t & guards:
+                            raise PackingOverflow
                         work[t] = neg * gc % p
-                        heappush(heap, (desc_key(t), t))
+                        heappush(heap, t)
                     else:
                         work[t] = (old + neg * gc) % p
                 break
@@ -513,16 +637,45 @@ def exact_divide(a: Polynomial, b: Polynomial) -> Polynomial:
     a._check(b)
     if b.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
+    if a.is_zero():
+        return a
     p = a.context.p
-    divisor = make_divisor(b.terms, min(b.terms, key=grevlex_desc_key), p)
-    quotient: dict[Monomial, int] = {}
-    remainder = divide_terms(a.terms, (divisor,), p, grevlex_desc_key, quotient)
+
+    def run(pk: Packing) -> tuple[dict[Monomial, int], dict[Monomial, int]]:
+        packed_b = pk.pack_terms(b.terms)
+        divisor = make_divisor(packed_b, min(packed_b), p, pk)
+        quotient: dict[int, int] = {}
+        remainder = divide_terms(pk.pack_terms(a.terms), (divisor,), p, pk, quotient)
+        return pk.unpack_terms(remainder), pk.unpack_terms(quotient)
+
+    bits = fit_bits(max(degree(a.terms), degree(b.terms)))
+    remainder, quotient = packed_call(packing(grevlex_layout(a.context.arity), bits), run)
     if remainder:
         raise NotDivisibleError(
-            "division left a nonzero remainder",
-            Polynomial._raw(a.context, remainder),
+            "division left a nonzero remainder", Polynomial._raw(a.context, remainder)
         )
     return Polynomial._raw(a.context, quotient)
+
+
+def _log_binomial(a: int, b: int, cap: float) -> float:
+    """log C(a + b, a), or a value above ``cap`` once it exceeds ``cap``."""
+    small, large = sorted((a, b))
+    total = 0.0
+    for i in range(1, small + 1):
+        # Each step adds at least log 2, so this stops within cap/log 2.
+        total += log(large + i) - log(i)
+        if total > cap:
+            break
+    return total
+
+
+def log_power_terms(terms: int, arity: int, degree: int, k: int, cap: float) -> float:
+    """The log of a bound on the terms of f^k for f with ``terms`` terms
+    of total degree at most ``degree`` in ``arity`` variables, or a value
+    above ``cap`` once the bound exceeds ``cap``.  The bound is the lesser
+    of the multisets of k of f's terms and the monomials of degree at most
+    k * degree; it ignores the cancellations of characteristic p."""
+    return min(_log_binomial(terms - 1, k, cap), _log_binomial(arity, degree * k, cap))
 
 
 def substitute_zero(f: Polynomial, var: int) -> Polynomial:

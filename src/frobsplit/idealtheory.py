@@ -1,44 +1,57 @@
 """Groebner bases over F_p and everything ideal-compatibility related.
 
 The engine is Buchberger's algorithm on ``fparith.divide_terms``, the
-division routine shared with exact division: every monomial's order key
-is computed once, when its term enters a heap, and every basis element's
-leading monomial once, when the element is added.  S-pairs wait on a
-heap keyed by the order key of their lcm (the normal selection strategy,
-ties broken by index), pruned by the Gebauer-Moller update as each
-element arrives.  The result is inter-reduced, so the basis returned for
-given generators and order is unique and the whole pipeline is
-deterministic.  On top of it sit the Frobenius bracket power I^[p],
-colon ideals by tag-variable elimination, the colon module (I^[p] : I)
-whose elements are exactly the coefficients of twisted endomorphisms
-compatible with I (Fedder's criterion), an independent check by p-th-root
-decomposition used to cross-validate it, the existence test for
-compatible splittings on the same decomposition, and nilpotency witnesses.
+division routine shared with exact division.  Inside it every monomial
+is a packed int key (``fparith.Packing``, laid out per order by
+``MonomialOrder.layout``): heaps hold bare ints, a multiple of a term is
+one int addition, divisibility is a guard-bit test, and exponent tuples
+come back only in the result.  Every basis element's leading monomial is
+found once, when the element is added, and a ``GroebnerBasis`` keeps its
+elements packed, so a normal form packs only the polynomial reduced.
+S-pairs wait on a heap keyed by the order key of their lcm (the normal
+selection strategy, ties broken by index), pruned by the Gebauer-Moller
+update as each element arrives.  The result is inter-reduced, so the
+basis returned for given generators and order is unique and the whole
+pipeline is deterministic.  On top of it sit the Frobenius bracket power
+I^[p], colon ideals by tag-variable elimination, the colon module
+(I^[p] : I) whose elements are exactly the coefficients of twisted
+endomorphisms compatible with I (Fedder's criterion), an independent
+check by p-th-root decomposition used to cross-validate it, the
+existence test for compatible splittings on the same decomposition, and
+nilpotency witnesses.  Fedder modules that would be too large are
+refused before they are built (``FEDDER_TERM_BUDGET``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial, reduce
+from functools import lru_cache, partial, reduce
 from heapq import heappop, heappush
-from operator import add, neg, sub
+from math import log, prod
+from operator import neg
 from typing import Callable
 
 from .fparith import (
     ContextMismatchError,
     Divisor,
+    Layout,
     Monomial,
+    Packing,
+    PackingOverflow,
     Polynomial,
     RingContext,
+    degree,
     divide_terms,
     embed,
     exact_divide,
+    fit_bits,
     grevlex_desc_key,
     grevlex_key,
+    grevlex_layout,
+    log_power_terms,
     make_divisor,
-    monomial_divides,
-    monomial_lcm,
-    monomial_mul,
+    packed_call,
+    packing,
 )
 from .splitcore import TwistedEndo, frobenius_roots
 
@@ -92,6 +105,28 @@ class MonomialOrder:
             return partial(_elim_desc_key, self.block)
         raise ValueError(f"unknown order kind {self.kind!r}")
 
+    def layout(self, arity: int) -> Layout:
+        """The fields of ``desc_key`` for packed keys (``fparith.Packing``)."""
+        return _layout(self, arity)
+
+
+@lru_cache(maxsize=None)
+def _layout(order: MonomialOrder, arity: int) -> Layout:
+    if order.kind == "lex":
+        return tuple((True, (i,)) for i in range(arity))
+    if order.kind == "grevlex":
+        return grevlex_layout(arity)
+    if order.kind == "elim":
+        k = order.block
+        if k >= arity:
+            raise ValueError("elimination block must be smaller than the arity")
+        rest = tuple(
+            (negated, tuple(i + k for i in indices))
+            for negated, indices in grevlex_layout(arity - k)
+        )
+        return grevlex_layout(k) + rest
+    raise ValueError(f"unknown order kind {order.kind!r}")
+
 
 def _lex_desc_key(m: Monomial) -> tuple:
     return tuple(map(neg, m))
@@ -139,16 +174,65 @@ def ideal(*generators: Polynomial) -> IdealPresentation:
 @dataclass(frozen=True)
 class GroebnerBasis:
     """A Groebner basis with the leading monomial of each element, which
-    is computed once here."""
+    is computed once here, and its elements as packed divisors, packed
+    once per field width."""
 
     context: RingContext
     order: MonomialOrder
     basis: tuple[Polynomial, ...]
     leads: tuple[Monomial, ...] = field(init=False, repr=False, compare=False)
+    _divisors: dict[Packing, list[Divisor]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         leads = tuple(_leading(g, self.order)[0] for g in self.basis)
         object.__setattr__(self, "leads", leads)
+        object.__setattr__(self, "_divisors", {})
+
+    @classmethod
+    def _reduced(
+        cls,
+        context: RingContext,
+        order: MonomialOrder,
+        basis: tuple[Polynomial, ...],
+        leads: tuple[Monomial, ...],
+        pk: Packing,
+        divisors: list[Divisor],
+    ) -> "GroebnerBasis":
+        """The basis ``buchberger`` returns, with the leads it found and
+        the divisors it packed with ``pk``."""
+        G = object.__new__(cls)
+        for name, value in (
+            ("context", context),
+            ("order", order),
+            ("basis", basis),
+            ("leads", leads),
+            ("_divisors", {pk: divisors}),
+        ):
+            object.__setattr__(G, name, value)
+        return G
+
+    def _packing(self, bits: int) -> Packing:
+        """The narrowest packing, ``bits`` wide or wider, that fits the
+        elements; the first one they were packed with fits them."""
+        if self._divisors:
+            pk = next(iter(self._divisors))
+        else:
+            need = fit_bits(max(degree(g.terms) for g in self.basis))
+            pk = packing(self.order.layout(self.context.arity), need)
+        while pk.bits < bits:
+            pk = pk.wider()
+        return pk
+
+    def _packed(self, pk: Packing) -> list[Divisor]:
+        divisors = self._divisors.get(pk)
+        if divisors is None:
+            p = self.context.p
+            divisors = [
+                make_divisor(pk.pack_terms(g.terms), pk.pack(lm), p, pk)
+                for g, lm in zip(self.basis, self.leads)
+            ]
+            self._divisors[pk] = divisors
+        return divisors
 
     def contains(self, f: Polynomial) -> bool:
         return normal_form(f, self).is_zero()
@@ -162,29 +246,43 @@ def _leading(f: Polynomial, order: MonomialOrder) -> tuple[Monomial, int]:
     return m, f.terms[m]
 
 
-def _monic(f: Polynomial, order: MonomialOrder) -> Polynomial:
-    _, c = _leading(f, order)
-    if c == 1:
-        return f
-    p = f.context.p
-    return f.scale(pow(c, p - 2, p))
+def _lcm(pk: Packing, a: Monomial, b: Monomial) -> tuple[Monomial, int]:
+    """The lcm of two in-range monomials and its key.  No field of the lcm
+    exceeds the sum of two in-range fields, so its guard bits show whether
+    it left its range; then ``PackingOverflow`` is raised."""
+    lcm = tuple(map(max, a, b))
+    key = pk.pack(lcm)
+    if key & pk.guards:
+        raise PackingOverflow
+    return lcm, key
 
 
-def _s_terms(f: Divisor, g: Divisor, lcm: Monomial, p: int) -> dict[Monomial, int]:
-    """Terms of the S-polynomial of two prepared divisors with the given
-    lcm of leading monomials; the leading terms cancel and are skipped."""
-    lf, inv_f, tail_f = f
-    lg, inv_g, tail_g = g
-    sf = tuple(map(sub, lcm, lf))
-    sg = tuple(map(sub, lcm, lg))
-    out = {tuple(map(add, m, sf)): c * inv_f % p for m, c in tail_f}
+def _s_terms(f: Divisor, g: Divisor, lcm: int, p: int, guards: int) -> dict[int, int]:
+    """Packed terms of the S-polynomial of two prepared divisors whose
+    leading monomials have the lcm key ``lcm``; the leading terms cancel
+    and are skipped.  Raises ``PackingOverflow`` when a term leaves its
+    fields (a key already present is in range)."""
+    lf, _, inv_f, tail_f = f
+    lg, _, inv_g, tail_g = g
+    sf = lcm - lf
+    sg = lcm - lg
+    out = {m + sf: c * inv_f % p for m, c in tail_f}
+    if any(map(guards.__and__, out)):
+        raise PackingOverflow
+    get = out.get
     for m, c in tail_g:
-        t = tuple(map(add, m, sg))
-        s = (out.get(t, 0) - c * inv_g) % p
-        if s:
-            out[t] = s
+        t = m + sg
+        old = get(t)
+        if old is None:
+            if t & guards:
+                raise PackingOverflow
+            out[t] = -c * inv_g % p
         else:
-            out.pop(t, None)
+            s = (old - c * inv_g) % p
+            if s:
+                out[t] = s
+            else:
+                del out[t]
     return out
 
 
@@ -192,12 +290,14 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomi
     """The S-polynomial cancelling the leading terms of f and g."""
     f._check(g)
     p = f.context.p
-    mf = _leading(f, order)[0]
-    mg = _leading(g, order)[0]
-    terms = _s_terms(
-        make_divisor(f.terms, mf, p), make_divisor(g.terms, mg, p), monomial_lcm(mf, mg), p
-    )
-    return Polynomial._raw(f.context, terms)
+    # No term of the S-polynomial has degree above deg f + deg g.
+    pk = packing(order.layout(f.context.arity), fit_bits(degree(f.terms) + degree(g.terms)))
+    pf = pk.pack_terms(f.terms)
+    pg = pk.pack_terms(g.terms)
+    lf, lg = min(pf), min(pg)
+    _, lcm = _lcm(pk, pk.unpack(lf), pk.unpack(lg))
+    terms = _s_terms(make_divisor(pf, lf, p, pk), make_divisor(pg, lg, p, pk), lcm, p, pk.guards)
+    return Polynomial._raw(f.context, pk.unpack_terms(terms))
 
 
 def buchberger(I: IdealPresentation, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
@@ -206,7 +306,7 @@ def buchberger(I: IdealPresentation, order: MonomialOrder = GREVLEX) -> Groebner
     Deterministic.  Generators are made monic and pre-sorted canonically.
     Generators and S-polynomials alike are reduced by the active
     elements; a nonzero remainder h is made monic and added, its leading
-    monomial LM(h) computed then, once, and kept with it as a prepared
+    monomial LM(h) found then, once, and kept with it as a prepared
     divisor.  Each S-pair (i, j) is pushed once onto a heap keyed by the
     order key of its lcm, computed at push time, with ties broken by
     (i, j): the normal selection strategy.  The Gebauer-Moller update
@@ -216,26 +316,48 @@ def buchberger(I: IdealPresentation, order: MonomialOrder = GREVLEX) -> Groebner
     Active elements whose leading monomial LM(h) divides stop forming
     pairs and dividing.  The active elements at the end form a minimal
     basis; it is inter-reduced and sorted by decreasing leading monomial.
+
+    All of this runs on packed keys (``fparith.Packing``): elements,
+    S-polynomials and pair lcms are ints, divisibility is a guard-bit
+    test, and the terms are unpacked to exponent tuples only for the
+    result.  A field that overflows reruns the whole computation at
+    double width.
     """
     ctx = I.context
-    p = ctx.p
-    desc_key = order.desc_key
-    gens = sorted(
-        {_monic(g, order) for g in I.generators if not g.is_zero()},
-        key=lambda g: sorted(((order.key(m), c) for m, c in g.terms.items()), reverse=True),
-    )
-    if not gens:
+    if I.is_zero_ideal():
         return GroebnerBasis(ctx, order, ())
+    bits = fit_bits(max(degree(g.terms) for g in I.generators))
+    return packed_call(packing(order.layout(ctx.arity), bits), partial(_buchberger, I, order))
+
+
+def _buchberger(I: IdealPresentation, order: MonomialOrder, pk: Packing) -> GroebnerBasis:
+    ctx = I.context
+    p = ctx.p
+    base, guards = pk.base, pk.guards
+    monic: dict[frozenset, dict[int, int]] = {}
+    for g in I.generators:
+        terms = pk.pack_terms(g.terms)
+        c = terms[min(terms)]
+        if c != 1:
+            inv = pow(c, p - 2, p)
+            terms = {m: v * inv % p for m, v in terms.items()}
+        monic[frozenset(terms.items())] = terms
+    # Descending keys of the order, i.e. ascending packed keys negated.
+    gens = sorted(
+        monic.values(), key=lambda g: sorted(((-m, c) for m, c in g.items()), reverse=True)
+    )
 
     elements: list[Divisor] = []
+    leads: list[Monomial] = []
     active: list[int] = []
-    # Pending pairs as [lcm key, i, j, lcm]; a pruned pair's lcm is None.
+    # Pending pairs as [-lcm key, i, j, lcm positive form, lcm]; a pruned
+    # pair's positive form is None.
     pairs: list[list] = []
 
-    def insert(terms: dict[Monomial, int]) -> None:
+    def insert(terms: dict[int, int]) -> None:
         # Reduced by the active elements, a new leading monomial is
         # divisible by none of theirs, so the active set stays minimal.
-        r = divide_terms(terms, [elements[a] for a in active], p, desc_key)
+        r = divide_terms(terms, [elements[a] for a in active], p, pk)
         if not r:
             return
         lead, c = next(iter(r.items()))
@@ -243,56 +365,84 @@ def buchberger(I: IdealPresentation, order: MonomialOrder = GREVLEX) -> Groebner
             inv = pow(c, p - 2, p)
             r = {m: v * inv % p for m, v in r.items()}
         k = len(elements)
-        elements.append(make_divisor(r, lead, p))
-        new = [(i, monomial_lcm(elements[i][0], lead)) for i in active]
-        kept: list[tuple[int, Monomial, bool]] = []
-        for n, (i, lcm) in enumerate(new):
-            coprime = lcm == monomial_mul(elements[i][0], lead)
+        elements.append(make_divisor(r, lead, p, pk))
+        lead_pos = lead ^ base
+        lt = pk.unpack(lead)
+        leads.append(lt)
+        # With the positive forms of the lcms: x^a divides x^b iff
+        # ((b | guards) - a) & guards == guards.
+        new = []
+        for i in active:
+            lcm, key = _lcm(pk, leads[i], lt)
+            new.append((i, lcm, key, key ^ base))
+        kept: list[tuple[int, Monomial, int, int, bool]] = []
+        for n, (i, lcm, key, pos) in enumerate(new):
+            coprime = key == elements[i][0] + lead - base
+            here = pos | guards
             if coprime or not (
-                any(monomial_divides(other, lcm) for _, other in new[n + 1 :])
-                or any(monomial_divides(other, lcm) for _, other, _ in kept)
+                any((here - other[3]) & guards == guards for other in new[n + 1 :])
+                or any((here - other[3]) & guards == guards for other in kept)
             ):
-                kept.append((i, lcm, coprime))
+                kept.append((i, lcm, key, pos, coprime))
         for pair in pairs:
-            lcm = pair[3]
+            pos = pair[3]
             if (
-                lcm is not None
-                and monomial_divides(lead, lcm)
-                and monomial_lcm(elements[pair[1]][0], lead) != lcm
-                and monomial_lcm(elements[pair[2]][0], lead) != lcm
+                pos is not None
+                and ((pos | guards) - lead_pos) & guards == guards
+                and tuple(map(max, leads[pair[1]], lt)) != pair[4]
+                and tuple(map(max, leads[pair[2]], lt)) != pair[4]
             ):
                 pair[3] = None
-        for i, lcm, coprime in kept:
+        for i, lcm, key, pos, coprime in kept:
             if not coprime:
-                heappush(pairs, [order.key(lcm), i, k, lcm])
-        active[:] = [i for i in active if not monomial_divides(lead, elements[i][0])]
+                heappush(pairs, [-key, i, k, pos, lcm])
+        active[:] = [i for i in active if ((elements[i][1] | guards) - lead_pos) & guards != guards]
         active.append(k)
 
     for g in gens:
-        insert(g.terms)
+        insert(g)
     while pairs:
-        _, i, j, lcm = heappop(pairs)
-        if lcm is not None:
-            insert(_s_terms(elements[i], elements[j], lcm, p))
+        key, i, j, pos, _ = heappop(pairs)
+        if pos is not None:
+            insert(_s_terms(elements[i], elements[j], -key, p, guards))
 
-    minimal = sorted((elements[i] for i in active), key=lambda e: desc_key(e[0]))
+    active.sort(key=lambda i: elements[i][0])
+    minimal = [elements[i] for i in active]
     # Reduce each tail against the others; the monic leading terms survive.
-    reduced = []
-    for n, (lead, _, tail) in enumerate(minimal):
-        rest = divide_terms(dict(tail), minimal[:n] + minimal[n + 1 :], p, desc_key)
-        reduced.append(Polynomial._raw(ctx, {lead: 1, **rest}))
-    return GroebnerBasis(ctx, order, tuple(reduced))
+    divisors = []
+    basis = []
+    unpack = pk.unpack
+    for n, (lead, lead_pos, _, tail) in enumerate(minimal):
+        rest = divide_terms(dict(tail), minimal[:n] + minimal[n + 1 :], p, pk)
+        divisors.append((lead, lead_pos, 1, tuple(rest.items())))
+        terms = {leads[active[n]]: 1}
+        for m, c in rest.items():
+            terms[unpack(m)] = c
+        basis.append(Polynomial._raw(ctx, terms))
+    return GroebnerBasis._reduced(
+        ctx, order, tuple(basis), tuple(leads[i] for i in active), pk, divisors
+    )
 
 
 def normal_form(f: Polynomial, G: GroebnerBasis) -> Polynomial:
-    """Remainder of f modulo the basis; zero iff f lies in the ideal."""
+    """Remainder of f modulo the basis; zero iff f lies in the ideal.
+
+    Only f is packed; the basis keeps its packed divisors."""
     if f.context != G.context:
         raise ContextMismatchError("polynomial and basis from different rings")
     if f.is_zero() or not G.basis:
         return f
     p = f.context.p
-    divisors = [make_divisor(g.terms, lm, p) for g, lm in zip(G.basis, G.leads)]
-    return Polynomial._raw(f.context, divide_terms(f.terms, divisors, p, G.order.desc_key))
+
+    def run(pk: Packing) -> dict[Monomial, int]:
+        packed = pk.pack_terms(f.terms)
+        remainder = divide_terms(packed, G._packed(pk), p, pk)
+        # Terms of f that survive keep their tuples; only new ones unpack.
+        known = dict(zip(packed, f.terms))
+        return {known.get(k) or pk.unpack(k): c for k, c in remainder.items()}
+
+    pk = G._packing(fit_bits(degree(f.terms)))
+    return Polynomial._raw(f.context, packed_call(pk, run))
 
 
 def frobenius_power_ideal(I: IdealPresentation) -> IdealPresentation:
@@ -346,14 +496,31 @@ def colon(J: IdealPresentation, g: Polynomial) -> IdealPresentation:
     return IdealPresentation(J.context, tuple(exact_divide(h, g) for h in inter.generators))
 
 
+FEDDER_TERM_BUDGET = 10**5
+"""Terms allowed, by estimate, in (g_1 * ... * g_r)^(p-1), which lies in
+the Fedder module of (g_1, ..., g_r): about 2 s of colon computation."""
+
+
 def fedder_module(I: IdealPresentation) -> IdealPresentation:
     """Coefficients of all twisted endomorphisms compatible with I.
 
     This is the colon ideal (I^[p] : I), intersected over the generators.
-    The zero ideal maps to the zero ideal by convention.
+    The zero ideal maps to the zero ideal by convention.  Raises
+    ValueError, before anything is built, when the product of the
+    generators to the p-1 may have more than ``FEDDER_TERM_BUDGET`` terms
+    (``fparith.log_power_terms``), as for (xy + x + 1) at p = 1009.
     """
     if I.is_zero_ideal():
         return I
+    ctx = I.context
+    cap = log(FEDDER_TERM_BUDGET)
+    terms = prod(len(g.terms) for g in I.generators)
+    total = sum(g.total_degree() for g in I.generators)
+    if log_power_terms(terms, ctx.arity, total, ctx.p - 1, cap) > cap:
+        raise ValueError(
+            f"Fedder module too large: the product of the generators to the p-1"
+            f" may have over {FEDDER_TERM_BUDGET} terms"
+        )
     Ip = frobenius_power_ideal(I)
     return reduce(intersect, (colon(Ip, g) for g in I.generators))
 

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -200,3 +201,25 @@ def test_flags_a_subcommand_does_not_read_are_rejected(command, flag, capsys):
         main(argv + [flag, value])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["semigroup", "--gens", "-3,5"], "generators must be positive integers"),
+        (["semigroup", "--gens", "2,-3"], "generators must be positive integers"),
+        (["split-check", "-p", "3", "--vars", "x", "x^(2^(2^40))"], "exponent too large"),
+        (["split-check", "-p", "3", "--vars", "x,y", "(x+y)^(10^6)"], "power too large"),
+        (["exists-split", "-p", "1009", "--vars", "x,y", "--ideal", "x*y+x+1"], "Fedder module too large"),
+        (["exists-split", "-p", "10007", "--vars", "x,y", "--ideal", "x*y+x+1"], "Fedder module too large"),
+        (["compat", "-p", "1009", "--vars", "x,y", "x*y", "--ideal", "x*y+x+1"], "Fedder module too large"),
+    ],
+)
+def test_oversized_or_negative_input_is_a_quick_usage_error(argv, message, capsys):
+    start = time.perf_counter()
+    code = main(argv)
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    _assert_usage_error(code, captured)
+    assert message in captured.err
+    assert elapsed < 1.0

@@ -1,6 +1,7 @@
 """Expression parser: precedence, prime binding, round trips, errors."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given
@@ -128,3 +129,36 @@ def test_variable_name_rule_matches_the_tokenizer(text):
         tokens = []
     one_name = tokens == [("name", text), ("end", "")]
     assert _is_variable_name(text) == (one_name and text != "p")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("x^(2^(2^40))", "exponent too large"),
+        ("(x+y)^(10^6)", "power too large"),
+        ("x^(2^1024)", "exponent too large"),
+        ("(x+y+1)^(2^20)", "power too large"),
+        ("(x+y)^(2^1023)", "power too large"),
+    ],
+)
+def test_oversized_input_is_refused_before_expansion(text, message, monkeypatch):
+    from frobsplit import Polynomial
+
+    def expanded(*args):
+        raise AssertionError("expanded before the budget check")
+
+    monkeypatch.setattr(Polynomial, "__mul__", expanded)
+    monkeypatch.setattr(Polynomial, "__pow__", expanded)
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match=message):
+        parse_expr(text, ring(3, "x y"))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_budget_admits_sparse_and_monomial_powers():
+    ctx = ring(3, "x y")
+    assert parse_expr("x^(2^1023)", ctx) == ctx.monomial((2**1023, 0))
+    x_plus_y = ctx.variable("x") + ctx.variable("y")
+    assert parse_expr("(x+y)^(3^6)", ctx) == x_plus_y.frobenius() ** 243
+    big = ring(2305843009213693951, "x y")
+    assert parse_expr("(x*y)^(p-1)", big) == big.monomial((big.p - 1, big.p - 1))

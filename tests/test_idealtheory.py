@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from frobsplit import (
     GroebnerBasis,
     IdealPresentation,
     MonomialOrder,
+    Polynomial,
     TwistedEndo,
     buchberger,
     colon,
@@ -29,6 +31,7 @@ from frobsplit import (
     ring,
     s_polynomial,
 )
+from frobsplit.fparith import Packing, fit_bits, monomial_divides, packing
 from _util import contexts, ideals, polys, rand_poly, wide_contexts
 
 ORDERS = [MonomialOrder.lex(), MonomialOrder.grevlex(), MonomialOrder.elim(1)]
@@ -477,3 +480,190 @@ def test_exists_split_matches_enumeration(data):
     I = data.draw(ideals(ctx))
     res = exists_compatible_splitting(I)
     assert (res.exists, res.obstruction.basis) == _exists_by_enumeration(I)
+
+
+@pytest.mark.parametrize("p", [1009, 10007, 2305843009213693951])
+def test_large_prime_fedder_module_is_refused_before_it_is_built(p, monkeypatch):
+    import frobsplit.idealtheory as idealtheory
+
+    def built(*args):
+        raise AssertionError("built before the budget check")
+
+    monkeypatch.setattr(idealtheory, "frobenius_power_ideal", built)
+    monkeypatch.setattr(idealtheory, "buchberger", built)
+    ctx = ring(p, "x y")
+    I = _ideal(ctx, "x*y+x+1")
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="Fedder module too large"):
+        exists_compatible_splitting(I)
+    with pytest.raises(ValueError, match="Fedder module too large"):
+        is_compatible(TwistedEndo(ctx.one()), I)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_fedder_budget_admits_moderate_primes():
+    ctx = ring(101, "x y")
+    assert exists_compatible_splitting(_ideal(ctx, "x*y+x+1")).exists
+    # Monomial generators stay one term to any power.
+    assert fedder_module(_ideal(ring(1009, "x y"), "x*y")).generators
+
+
+# -- packed monomial keys -----------------------------------------------------
+
+_exponents = st.one_of(st.integers(0, 4), st.integers(0, 2**40))
+
+
+def _orders(n):
+    return [MonomialOrder.lex(), MonomialOrder.grevlex()] + [MonomialOrder.elim(k) for k in range(1, n)]
+
+
+def _packing_for(order: MonomialOrder, n: int, *monomials) -> Packing:
+    return packing(order.layout(n), fit_bits(max(sum(m) for m in monomials)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_packed_keys_sort_descending(data):
+    n = data.draw(st.integers(1, 4))
+    monomials = data.draw(st.lists(st.tuples(*[_exponents] * n), unique=True, min_size=1, max_size=12))
+    for order in _orders(n):
+        pk = _packing_for(order, n, *monomials)
+        assert sorted(monomials, key=pk.pack) == sorted(monomials, key=order.key, reverse=True)
+        for m in monomials:
+            assert pk.pack(m) & pk.guards == 0
+            assert pk.unpack(pk.pack(m)) == m
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_packed_keys_are_affine(data):
+    n = data.draw(st.integers(1, 4))
+    m, s = data.draw(st.tuples(st.tuples(*[_exponents] * n), st.tuples(*[_exponents] * n)))
+    product = tuple(a + b for a, b in zip(m, s))
+    for order in _orders(n):
+        pk = _packing_for(order, n, product)
+        one = (0,) * n
+        assert pk.pack(product) == pk.pack(m) + pk.pack(s) - pk.pack(one)
+        assert pk.pack(one) == pk.base
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_guard_bit_test_matches_monomial_divides(data):
+    n = data.draw(st.integers(1, 4))
+    small = st.integers(0, 3)
+    a, b = data.draw(st.tuples(st.tuples(*[small] * n), st.tuples(*[small] * n)))
+    if data.draw(st.booleans()):
+        a = tuple(min(x, y) for x, y in zip(a, b))
+    for order in _orders(n):
+        pk = _packing_for(order, n, a, b)
+        pos_a, pos_b = pk.pack(a) ^ pk.base, pk.pack(b) ^ pk.base
+        guard_test = ((pos_b | pk.guards) - pos_a) & pk.guards == pk.guards
+        assert guard_test == monomial_divides(a, b)
+
+
+def _spy_widths(monkeypatch) -> list[int]:
+    """Record the field width of every division run by ``idealtheory``."""
+    import frobsplit.idealtheory as idealtheory
+
+    widths: list[int] = []
+    divide = idealtheory.divide_terms
+
+    def spy(terms, divisors, p, pk, *rest):
+        widths.append(pk.bits)
+        return divide(terms, divisors, p, pk, *rest)
+
+    monkeypatch.setattr(idealtheory, "divide_terms", spy)
+    return widths
+
+
+def test_division_overflowing_the_start_width_matches_max_scan(monkeypatch):
+    # Under elim(1), t*x reduced by t - y^255 is x*y^255: degree 256 in the
+    # second block, one more than the 8-bit fields the inputs fit.
+    ctx = ring(5, "t x y")
+    order = MonomialOrder.elim(1)
+    basis = [parse_expr("t - y^255", ctx)]
+    widths = _spy_widths(monkeypatch)
+    for text in ["t*x", "t^3*x + 2*t*y + x", "t^2 + t*x^200"]:
+        f = parse_expr(text, ctx)
+        remainder = normal_form(f, GroebnerBasis(ctx, order, tuple(basis)))
+        assert remainder.terms == _reference_normal_form(f, basis, order)
+    assert widths[:2] == [8, 16]
+    lex = MonomialOrder.lex()
+    basis = [parse_expr("x - y^255", ctx)]
+    f = parse_expr("x^2 + t", ctx)
+    remainder = normal_form(f, GroebnerBasis(ctx, lex, tuple(basis)))
+    assert remainder.terms == _reference_normal_form(f, basis, lex)
+
+
+def _assert_groebner_by_max_scan(G: GroebnerBasis, I: IdealPresentation) -> None:
+    """The generators and every S-polynomial of G reduce to zero modulo G
+    by the max-scan reference, and no term of G is divisible by the
+    leading monomial of another element."""
+    basis, order = list(G.basis), G.order
+    for g in I.generators:
+        assert _reference_normal_form(g, basis, order) == {}
+    for f, g in itertools.combinations(basis, 2):
+        assert _reference_normal_form(s_polynomial(f, g, order), basis, order) == {}
+    for i, g in enumerate(basis):
+        others = [lm for j, lm in enumerate(G.leads) if j != i]
+        assert not any(all(a <= b for a, b in zip(lm, m)) for lm in others for m in g.terms)
+
+
+@pytest.mark.parametrize(
+    "gens, order, expected",
+    [
+        # A division leaves the 8-bit fields: t*x reduces to x*y^255.
+        (["t - y^255", "t*x"], MonomialOrder.elim(1), ["4*y^255 + t", "x*y^255"]),
+        # An S-polynomial does: y*(t*x + y^255) - x*(t*y + 1) has y^256.
+        (["t*x + y^255", "t*y + 1"], MonomialOrder.elim(1), None),
+        # A pair lcm does: lcm(x^200*y, x*y^200) has degree 400.
+        (["x^200*y + t", "x*y^200 + t"], MonomialOrder.grevlex(), None),
+    ],
+)
+def test_buchberger_overflowing_the_start_width(gens, order, expected, monkeypatch):
+    ctx = ring(5, "t x y")
+    I = _ideal(ctx, *gens)
+    widths = _spy_widths(monkeypatch)
+    G = buchberger(I, order)
+    assert widths[0] == 8 and 16 in widths
+    if expected is not None:
+        assert [str(g) for g in G.basis] == expected
+    assert G.leads == tuple(max(g.terms, key=order.key) for g in G.basis)
+    _assert_groebner_by_max_scan(G, I)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_division_with_large_exponents_matches_max_scan(data):
+    ctx = ring(data.draw(st.sampled_from([2, 3, 7])), "x0 x1 x2")
+    order = data.draw(st.sampled_from(_orders(3)))
+    big = st.sampled_from([0, 1, 2, 127, 255, 256, 65535, 2**40])
+    exps = st.tuples(big, big, big)
+    terms = st.dictionaries(exps, st.integers(1, ctx.p - 1), min_size=1, max_size=3)
+    basis = [Polynomial(ctx, t) for t in data.draw(st.lists(terms, min_size=1, max_size=2))]
+    f = data.draw(polys(ctx, max_exp=3, max_terms=4))
+    G = GroebnerBasis(ctx, order, tuple(basis))
+    assert normal_form(f, G).terms == _reference_normal_form(f, basis, order)
+
+
+def test_lcm_and_s_polynomial_terms_that_leave_their_fields_are_caught():
+    from frobsplit.fparith import PackingOverflow, grevlex_layout, make_divisor
+    from frobsplit.idealtheory import _lcm, _s_terms
+
+    # Degree 400 leaves an 8-bit grevlex degree field.
+    grevlex = packing(grevlex_layout(3), 8)
+    with pytest.raises(PackingOverflow):
+        _lcm(grevlex, (0, 200, 1), (0, 1, 200))
+    assert _lcm(grevlex, (0, 200, 1), (0, 1, 54))[0] == (0, 200, 54)
+    # Under elim(1), S(t*x + y^255, t*y + 1) = y^256 - x leaves the second
+    # block's degree field, while the lcm t*x*y fits.
+    elim = packing(MonomialOrder.elim(1).layout(3), 8)
+    f = elim.pack_terms({(1, 1, 0): 1, (0, 0, 255): 1})
+    g = elim.pack_terms({(1, 0, 1): 1, (0, 0, 0): 1})
+    _, lcm = _lcm(elim, (1, 1, 0), (1, 0, 1))
+    divisors = [make_divisor(terms, min(terms), 5, elim) for terms in (f, g)]
+    with pytest.raises(PackingOverflow):
+        _s_terms(*divisors, lcm, 5, elim.guards)
+    with pytest.raises(PackingOverflow):
+        _s_terms(*reversed(divisors), lcm, 5, elim.guards)
