@@ -21,6 +21,7 @@ import json
 import re
 import sys
 from dataclasses import dataclass, field
+from functools import lru_cache
 from importlib import resources
 from typing import Any, Callable, Sequence
 
@@ -346,7 +347,10 @@ COMMANDS: dict[str, tuple[str, str | None, str, str]] = {
 _NEGATIVE_NUMBERS = re.compile(r"^-\d[\d,]*$")
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: it is the same for
+    every argv, and parsing leaves it unchanged."""
     # Shared flags and -h come through parent parsers, each extending the one
     # before: copying an action is cheaper than add_argument.
     fmt = argparse.ArgumentParser()

@@ -15,7 +15,9 @@ basis returned for given generators and order is unique and the whole
 pipeline is deterministic.  On top of it sit the Frobenius bracket power
 I^[p], colon ideals by tag-variable elimination, the colon module
 (I^[p] : I) whose elements are exactly the coefficients of twisted
-endomorphisms compatible with I (Fedder's criterion), an independent
+endomorphisms compatible with I (Fedder's criterion; a coefficient is
+tested against each colon (I^[p] : g) in turn, never against their
+intersection, and (g^[p] : g) is (g^(p-1)) for I = (g)), an independent
 check by p-th-root decomposition used to cross-validate it, the
 existence test for compatible splittings on the same decomposition, and
 nilpotency witnesses.  Fedder modules that would be too large are
@@ -29,7 +31,7 @@ from functools import lru_cache, partial, reduce
 from heapq import heappop, heappush
 from math import log, prod
 from operator import neg
-from typing import Callable
+from typing import Callable, Iterator
 
 from .fparith import (
     ContextMismatchError,
@@ -501,17 +503,17 @@ FEDDER_TERM_BUDGET = 10**5
 the Fedder module of (g_1, ..., g_r): about 2 s of colon computation."""
 
 
-def fedder_module(I: IdealPresentation) -> IdealPresentation:
-    """Coefficients of all twisted endomorphisms compatible with I.
+def _fedder_colons(I: IdealPresentation) -> Iterator[IdealPresentation]:
+    """The colons (I^[p] : g) of a nonzero ideal I, one per generator g,
+    built only as they are asked for; each one's generators are a grevlex
+    Groebner basis of it.
 
-    This is the colon ideal (I^[p] : I), intersected over the generators.
-    The zero ideal maps to the zero ideal by convention.  Raises
-    ValueError, before anything is built, when the product of the
-    generators to the p-1 may have more than ``FEDDER_TERM_BUDGET`` terms
-    (``fparith.log_power_terms``), as for (xy + x + 1) at p = 1009.
+    Raises ValueError, before the first colon is built, when the product
+    of the generators to the p-1 may have more than ``FEDDER_TERM_BUDGET``
+    terms (``fparith.log_power_terms``), as for (xy + x + 1) at p = 1009.
+    For I = (g) the one colon is (g^[p] : g) = (g^(p-1)), as R is a domain,
+    generated by monic(g^p) / g, the generator elimination gives.
     """
-    if I.is_zero_ideal():
-        return I
     ctx = I.context
     cap = log(FEDDER_TERM_BUDGET)
     terms = prod(len(g.terms) for g in I.generators)
@@ -521,8 +523,32 @@ def fedder_module(I: IdealPresentation) -> IdealPresentation:
             f"Fedder module too large: the product of the generators to the p-1"
             f" may have over {FEDDER_TERM_BUDGET} terms"
         )
+    if len(I.generators) == 1:
+        # Dividing the free Frobenius power costs |g^(p-1)| * |g| term
+        # updates; square-and-multiply costs far more for a sparse g at a
+        # large p, such as (xy + x + 1) at p = 101.
+        (g,) = I.generators
+        p = ctx.p
+        inv = pow(_leading(g, GREVLEX)[1], p - 2, p)
+        yield IdealPresentation(ctx, (exact_divide(g.frobenius().scale(inv), g),))
+        return
     Ip = frobenius_power_ideal(I)
-    return reduce(intersect, (colon(Ip, g) for g in I.generators))
+    for g in I.generators:
+        yield colon(Ip, g)
+
+
+def fedder_module(I: IdealPresentation) -> IdealPresentation:
+    """Coefficients of all twisted endomorphisms compatible with I.
+
+    This is the colon ideal (I^[p] : I), the intersection of the colons
+    (I^[p] : g) over the generators g; for I = (g) it is (g^(p-1)), with
+    no colon computed.  The zero ideal maps to the zero ideal by
+    convention.  Raises ValueError, before anything is built, when the
+    module would be too large (``FEDDER_TERM_BUDGET``).
+    """
+    if I.is_zero_ideal():
+        return I
+    return reduce(intersect, _fedder_colons(I))
 
 
 def is_compatible(
@@ -531,12 +557,17 @@ def is_compatible(
     """Does sigma map the ideal I into itself?
 
     method "fedder" tests membership of the coefficient in the colon
-    module (I^[p] : I).  method "finite" checks, for every generator g,
-    that every root h_b of coeff * g = sum_b x^b * h_b^p lies in I, with
-    no colon computed.  This is complete: sigma(I) lies in I iff every
-    trace(x^a * coeff * g) with a in [0, p-1]^n does, since every
-    polynomial is a combination sum_a r_a^p x^a, and that trace is
-    h_{(p-1)-a}.  method "both" runs the two and raises if they disagree.
+    module (I^[p] : I), the intersection of the colons (I^[p] : g) over
+    the generators g, one colon at a time: it stops at the first colon
+    that does not contain the coefficient and never builds the
+    intersection.  A colon's generators serve as its Groebner basis, as
+    LM(a * g) = LM(a) * LM(g); for I = (g) the one colon is (g^(p-1)).
+    method "finite" checks, for every generator g, that every root h_b
+    of coeff * g = sum_b x^b * h_b^p lies in I, with no colon computed.
+    This is complete: sigma(I) lies in I iff every trace(x^a * coeff * g)
+    with a in [0, p-1]^n does, since every polynomial is a combination
+    sum_a r_a^p x^a, and that trace is h_{(p-1)-a}.  method "both" runs
+    the two and raises if they disagree.
     """
     if sigma.context != I.context:
         raise ContextMismatchError("endomorphism and ideal from different rings")
@@ -552,7 +583,10 @@ def is_compatible(
     if I.is_zero_ideal():
         return True
     if method == "fedder":
-        return buchberger(fedder_module(I)).contains(sigma.coeff)
+        return all(
+            GroebnerBasis(I.context, GREVLEX, C.generators).contains(sigma.coeff)
+            for C in _fedder_colons(I)
+        )
     if method == "finite":
         G = buchberger(I)
         return all(

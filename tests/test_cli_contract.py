@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import frobsplit
-from frobsplit.cli import main
+from frobsplit.cli import build_parser, main
 
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "cli.json").read_text(encoding="utf-8"))
 
@@ -223,3 +223,32 @@ def test_oversized_or_negative_input_is_a_quick_usage_error(argv, message, capsy
     _assert_usage_error(code, captured)
     assert message in captured.err
     assert elapsed < 1.0
+
+
+# Usage errors that argparse itself reports, with SystemExit(2).
+PARSER_ERRORS = [
+    ["no-such-command"],
+    ["semigroup", "--gens"],
+    ["fedder", "--vars", "x", "--ideal", "x", "--method", "finite"],
+    ["compat", "-p", "3", "--vars", "x", "x", "--ideal", "x", "--method", "nope"],
+]
+
+
+def _run(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return captured.out, captured.err, code
+
+
+def test_repeated_calls_in_one_process_give_the_same_output(capsys):
+    # The parser is built once per process; no call may leave state behind.
+    assert build_parser() is build_parser()
+    argvs = [record["argv"] for record in GOLDEN] + PARSER_ERRORS
+    first = [_run(argv, capsys) for argv in argvs]
+    again = [_run(argv, capsys) for argv in reversed(argvs)][::-1]
+    assert first == again
+    assert first[: len(GOLDEN)] == [(r["stdout"], r["stderr"], r["exit"]) for r in GOLDEN]
+    assert all(code == 2 and "usage: frobsplit" in err for _, err, code in first[len(GOLDEN) :])

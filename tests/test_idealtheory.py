@@ -19,6 +19,7 @@ from frobsplit import (
     exists_compatible_splitting,
     fedder_module,
     frobenius_power_ideal,
+    frobenius_roots,
     frobenius_trace,
     ideal,
     intersect,
@@ -667,3 +668,135 @@ def test_lcm_and_s_polynomial_terms_that_leave_their_fields_are_caught():
         _s_terms(*divisors, lcm, 5, elim.guards)
     with pytest.raises(PackingOverflow):
         _s_terms(*reversed(divisors), lcm, 5, elim.guards)
+
+
+# -- Fedder's criterion one colon at a time -----------------------------------
+
+
+def _fedder_by_intersection(sigma, I):
+    """The "fedder" verdict from the whole module (I^[p] : I), built and
+    reduced: the reference for testing one colon at a time."""
+    return buchberger(fedder_module(I)).contains(sigma.coeff)
+
+
+def _product_power(I):
+    """(g_1 * ... * g_r)^(p-1), which lies in (I^[p] : I)."""
+    product = I.context.one()
+    for g in I.generators:
+        product = product * g
+    return product.pow_p_minus_1()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_fedder_verdict_matches_the_intersection(data):
+    ctx = data.draw(contexts.filter(lambda c: c.p <= 5))
+    I = data.draw(ideals(ctx, max_gens=3, max_terms=2))
+    section = data.draw(polys(ctx, max_exp=2 * ctx.p - 1, max_terms=3))
+    if data.draw(st.booleans()):
+        section = data.draw(polys(ctx, max_exp=1, max_terms=2)) * _product_power(I)
+    sigma = TwistedEndo(section)
+    assert is_compatible(sigma, I, "fedder") == _fedder_by_intersection(sigma, I)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_principal_fedder_module_matches_the_colon(data):
+    ctx = data.draw(contexts)
+    g = data.draw(polys(ctx, max_exp=2, max_terms=3, nonzero=True))
+    I = ideal(g)
+    by_colon = colon(frobenius_power_ideal(I), g).generators
+    assert [h.terms for h in fedder_module(I).generators] == [h.terms for h in by_colon]
+    roots = [h for c in by_colon for h in frobenius_roots(c).values()]
+    G = buchberger(IdealPresentation(ctx, roots))
+    res = exists_compatible_splitting(I)
+    assert (res.exists, res.obstruction.basis) == (G.is_unit_ideal(), G.basis)
+
+
+def test_principal_fedder_module_at_a_large_prime_is_quick():
+    # g^(p-1) by squarings would take seconds here: (xy + x + 1)^64 times
+    # (xy + x + 1)^32 alone is over a million term products.
+    start = time.perf_counter()
+    assert exists_compatible_splitting(_ideal(ring(101, "x y"), "x*y+x+1")).exists
+    assert time.perf_counter() - start < 1.0
+
+
+def test_fedder_stops_at_the_first_colon_that_fails(monkeypatch):
+    import frobsplit.idealtheory as idealtheory
+
+    calls = []
+
+    def counted(J, g):
+        calls.append(g)
+        return colon(J, g)
+
+    monkeypatch.setattr(idealtheory, "colon", counted)
+    ctx = ring(3, "x y")
+    I = _ideal(ctx, "x", "y")
+    # (x^3, y^3) : x = (x^2, y^3) does not hold 1.
+    assert is_compatible(TwistedEndo(ctx.one()), I, "fedder") is False
+    assert len(calls) == 1
+    calls.clear()
+    assert is_compatible(TwistedEndo(parse_expr("(x*y)^(p-1)", ctx)), I, "fedder") is True
+    assert len(calls) == 2
+    # (g^[p] : g) = (g^(p-1)) needs no colon.
+    calls.clear()
+    assert is_compatible(TwistedEndo(parse_expr("(x*y)^(p-1)", ctx)), _ideal(ctx, "x*y"), "fedder")
+    assert fedder_module(_ideal(ctx, "x*y+1")).generators
+    assert calls == []
+
+
+@pytest.mark.parametrize("method", ["fedder", "both"])
+@pytest.mark.parametrize("gens", [["x*y+x+1"], ["x*y+x+1", "x+y"]])
+def test_large_prime_fedder_check_is_refused_before_any_colon(method, gens, monkeypatch):
+    import frobsplit.idealtheory as idealtheory
+
+    def built(*args):
+        raise AssertionError("built before the budget check")
+
+    for name in ("colon", "frobenius_power_ideal", "buchberger", "exact_divide"):
+        monkeypatch.setattr(idealtheory, name, built)
+    ctx = ring(1009, "x y")
+    with pytest.raises(ValueError, match="Fedder module too large"):
+        is_compatible(TwistedEndo(ctx.one()), _ideal(ctx, *gens), method)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_fedder_check_takes_no_roots_and_no_basis_over_the_ring(data):
+    import frobsplit.idealtheory as idealtheory
+
+    ctx = data.draw(contexts.filter(lambda c: c.p <= 5))
+    I = data.draw(ideals(ctx, max_terms=2))
+    sigma = TwistedEndo(data.draw(polys(ctx, max_exp=2 * ctx.p - 1, max_terms=3)))
+    engine, roots = idealtheory.buchberger, idealtheory.frobenius_roots
+
+    def only_eliminations(J, order=MonomialOrder.grevlex()):
+        # Colons run Buchberger on the ring with the tag variable only.
+        assert J.context != ctx
+        return engine(J, order)
+
+    def no_roots(f):
+        raise AssertionError("the Fedder check took p-th roots")
+
+    idealtheory.buchberger, idealtheory.frobenius_roots = only_eliminations, no_roots
+    try:
+        verdict = is_compatible(sigma, I, "fedder")
+    finally:
+        idealtheory.buchberger, idealtheory.frobenius_roots = engine, roots
+    assert verdict == is_compatible(sigma, I, "finite")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_colon_generators_are_a_grevlex_groebner_basis(data):
+    # LM(a * g) = LM(a) * LM(g): the quotients of a Groebner basis of
+    # J cap (g) by g are one of (J : g).
+    ctx = data.draw(contexts.filter(lambda c: c.p <= 5))
+    J = data.draw(ideals(ctx))
+    g = data.draw(polys(ctx, max_exp=2, max_terms=3, nonzero=True))
+    gens = colon(J, g).generators
+    grevlex = MonomialOrder.grevlex()
+    G = GroebnerBasis(ctx, grevlex, gens)
+    for a, b in itertools.combinations(gens, 2):
+        assert normal_form(s_polynomial(a, b, grevlex), G).is_zero()
