@@ -20,7 +20,7 @@ Evaluation has a size budget, checked before anything is expanded: an
 integer in an exponent, and every exponent a power produces, has at most
 ``MAX_EXPONENT_BITS`` bits, and a product or power whose estimated work
 in term products exceeds ``MAX_TERM_PRODUCTS`` is refused.  The estimate
-of each power's terms is ``fparith.log_power_terms``; it ignores the
+for a power is ``fparith.log_power_products``; it ignores the
 cancellations of characteristic p, so it may refuse a power that would
 have come out sparse.  Refusals are ``ParseError``.
 """
@@ -28,10 +28,10 @@ have come out sparse.  Refusals are ``ParseError``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, log
+from math import log
 from typing import Union
 
-from .fparith import Polynomial, RingContext, log_power_terms
+from .fparith import Polynomial, RingContext, log_power_products
 
 
 class ParseError(ValueError):
@@ -293,26 +293,9 @@ def _check_power(f: Polynomial, e: int, pos: int) -> None:
     t = len(f.terms)
     d = max(f.total_degree(), 0)
     _check_bits((d * e).bit_length(), pos)
-    if t < 2:
-        return
-    cap = log(MAX_TERM_PRODUCTS) + 1
-
-    def log_terms(k: int) -> float:
-        return log_power_terms(t, f.context.arity, d, k, cap)
-
-    cost = 0.0
-    low, high = 0, 1  # result = f^low and base = f^high, as in __pow__
-    k = e
-    while k:
-        if k & 1:
-            cost += exp(min(log_terms(low) + log_terms(high), cap))
-            low += high
-        if k > 1:
-            cost += exp(min(2 * log_terms(high), cap))
-            high *= 2
-        if cost > MAX_TERM_PRODUCTS:
-            raise ParseError(f"power too large: a {t}-term polynomial to the {e}", pos)
-        k >>= 1
+    cap = log(MAX_TERM_PRODUCTS)
+    if t > 1 and log_power_products(t, f.context.arity, d, e, cap) > cap:
+        raise ParseError(f"power too large: a {t}-term polynomial to the {e}", pos)
 
 
 def parse_expr(text: str, context: RingContext) -> Polynomial:

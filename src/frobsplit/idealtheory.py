@@ -30,8 +30,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache, partial, reduce
 from heapq import heappop, heappush
 from math import log, prod
-from operator import neg
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .fparith import (
     ContextMismatchError,
@@ -47,7 +46,6 @@ from .fparith import (
     embed,
     exact_divide,
     fit_bits,
-    grevlex_desc_key,
     grevlex_key,
     grevlex_layout,
     log_power_terms,
@@ -95,20 +93,9 @@ class MonomialOrder:
             return (grevlex_key(m[: self.block]), grevlex_key(m[self.block :]))
         raise ValueError(f"unknown order kind {self.kind!r}")
 
-    @property
-    def desc_key(self) -> Callable[[Monomial], tuple]:
-        """Flat heap key for this order: injective, and ascending in it
-        is descending in ``key``."""
-        if self.kind == "lex":
-            return _lex_desc_key
-        if self.kind == "grevlex":
-            return grevlex_desc_key
-        if self.kind == "elim":
-            return partial(_elim_desc_key, self.block)
-        raise ValueError(f"unknown order kind {self.kind!r}")
-
     def layout(self, arity: int) -> Layout:
-        """The fields of ``desc_key`` for packed keys (``fparith.Packing``)."""
+        """The fields of this order's packed keys (``fparith.Packing``):
+        ascending keys are descending monomials."""
         return _layout(self, arity)
 
 
@@ -128,16 +115,6 @@ def _layout(order: MonomialOrder, arity: int) -> Layout:
         )
         return grevlex_layout(k) + rest
     raise ValueError(f"unknown order kind {order.kind!r}")
-
-
-def _lex_desc_key(m: Monomial) -> tuple:
-    return tuple(map(neg, m))
-
-
-def _elim_desc_key(k: int, m: Monomial) -> tuple:
-    if k >= len(m):
-        raise ValueError("elimination block must be smaller than the arity")
-    return (-sum(m[:k]),) + m[k - 1 :: -1] + (-sum(m[k:]),) + m[: k - 1 : -1]
 
 
 GREVLEX = MonomialOrder.grevlex()
@@ -512,7 +489,8 @@ def _fedder_colons(I: IdealPresentation) -> Iterator[IdealPresentation]:
     of the generators to the p-1 may have more than ``FEDDER_TERM_BUDGET``
     terms (``fparith.log_power_terms``), as for (xy + x + 1) at p = 1009.
     For I = (g) the one colon is (g^[p] : g) = (g^(p-1)), as R is a domain,
-    generated by monic(g^p) / g, the generator elimination gives.
+    generated by ``g.pow_p_minus_1()`` scaled as elimination would give
+    it: by the inverse of g's grevlex leading coefficient.
     """
     ctx = I.context
     cap = log(FEDDER_TERM_BUDGET)
@@ -524,13 +502,10 @@ def _fedder_colons(I: IdealPresentation) -> Iterator[IdealPresentation]:
             f" may have over {FEDDER_TERM_BUDGET} terms"
         )
     if len(I.generators) == 1:
-        # Dividing the free Frobenius power costs |g^(p-1)| * |g| term
-        # updates; square-and-multiply costs far more for a sparse g at a
-        # large p, such as (xy + x + 1) at p = 101.
         (g,) = I.generators
         p = ctx.p
         inv = pow(_leading(g, GREVLEX)[1], p - 2, p)
-        yield IdealPresentation(ctx, (exact_divide(g.frobenius().scale(inv), g),))
+        yield IdealPresentation(ctx, (g.pow_p_minus_1().scale(inv),))
         return
     Ip = frobenius_power_ideal(I)
     for g in I.generators:

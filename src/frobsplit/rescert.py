@@ -185,7 +185,7 @@ def matrix_section_coefficient(ctx: RingContext, n: int) -> Polynomial:
     product = ctx.one()
     for f in matrix_factors(ctx, n):
         product = product * f
-    return product.pow_p_minus_1() if ctx.p > 2 else product
+    return product.pow_p_minus_1()
 
 
 def render_truncated(f: Polynomial, limit: int = 40) -> str:

@@ -139,12 +139,7 @@ def homogeneous_fastpath(sigma: TwistedEndo) -> SplitVerdict:
     ctx = f.context
     n, p = ctx.arity, ctx.p
     if not f.is_zero() and deg == n * (p - 1):
-        c = f.coefficient((p - 1,) * n)
-        if c.residue == 0:
-            return SplitVerdict(VerdictKind.NOT_SPLITTING, witness=ctx.zero())
-        if c.residue == 1:
-            return SplitVerdict(VerdictKind.SPLITTING, constant=c)
-        return SplitVerdict(VerdictKind.SPANS_SPLITTING, constant=c)
+        return _verdict_from_image(ctx.constant(f.coefficient((p - 1,) * n).residue))
     return SplitVerdict(VerdictKind.NOT_SPLITTING, witness=frobenius_trace(f))
 
 

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import time
 
 import pytest
 
@@ -117,6 +118,18 @@ def test_power_dlog_examples():
     s = ctx.variable("x") + ctx.variable("y")
     expected = (d_coordinate(ctx, 0) + d_coordinate(ctx, 1)).times_poly(s)
     assert power_dlog_form(s) == expected
+
+
+def test_power_dlog_sparse_at_large_p_is_fast():
+    ctx = ring(31, "x y z")
+    x, y, z = (ctx.variable(v) for v in "xyz")
+    f = x * y + y * z + z * x + x + ctx.one()
+    start = time.perf_counter()
+    form = power_dlog_form(f)
+    assert time.perf_counter() - start < 1.0
+    # f^(p-1) df * f = f^p df.
+    df = exterior_d(DifferentialForm.from_polynomial(f))
+    assert form.times_poly(f) == df.times_poly(f.frobenius())
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

@@ -1,5 +1,6 @@
 """Prime-field scalars and sparse polynomial arithmetic."""
 
+import itertools
 import math
 import random
 import time
@@ -17,11 +18,12 @@ from frobsplit import (
     compose,
     embed,
     exact_divide,
+    fparith,
     ring,
     substitute_zero,
 )
 from frobsplit.expr import parse_expr
-from frobsplit.fparith import grevlex_key, monomial_divides
+from frobsplit.fparith import grevlex_key, log_power_products, monomial_divides
 from _util import contexts, polys, rand_poly, schoolbook_mul
 
 
@@ -191,8 +193,43 @@ def test_pow_p_minus_1_multiply_back_and_cross_check(p):
     ctx = ring(p, "x y")
     for _ in range(20):
         f = rand_poly(rng, ctx, max_deg=3, nonzero=True)
-        g = f.pow_p_minus_1(cross_check=True)
+        g = f.pow_p_minus_1()
+        assert g == f ** (p - 1)
         assert g * f == f.frobenius()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_pow_p_minus_1_matches_repeated_multiplication(data):
+    p = data.draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+    ctx = ring(p, [f"x{i}" for i in range(data.draw(st.integers(1, 3)))])
+    f = data.draw(polys(ctx, max_exp=2, max_terms=4, nonzero=True))
+    g = f.pow_p_minus_1()
+    assert g == f ** (p - 1)
+    assert g * f == f.frobenius()
+    # Both routes, whichever the estimate picks.
+    assert exact_divide(f.frobenius(), f) == g
+
+
+def test_pow_p_minus_1_squares_dense_f_at_small_p(monkeypatch):
+    # Every monomial of degree <= 3 in 6 variables: squaring costs 84^2
+    # term products, dividing f^3 by f about 924 * 84 term updates.
+    ctx = ring(3, "a b c d e g")
+    f = Polynomial(ctx, {m: 1 for m in itertools.product(range(4), repeat=6) if sum(m) <= 3})
+
+    def refuse(*args):
+        raise AssertionError("f^(p-1) divided where squaring is cheaper")
+
+    monkeypatch.setattr(fparith, "exact_divide", refuse)
+    assert f.pow_p_minus_1() == f * f
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 6, 7, 12, 100])
+def test_log_power_products_counts_pow_multiplications(k):
+    # A monomial's powers have one term, so the estimate is the number of
+    # multiplications __pow__ makes: its squarings and its other products.
+    multiplications = max(k.bit_length() - 1, 0) + max(bin(k).count("1") - 1, 0)
+    assert math.exp(log_power_products(1, 1, 1, k, math.inf)) == pytest.approx(multiplications)
 
 
 def test_pow_p_minus_1_zero_raises():

@@ -187,7 +187,7 @@ def test_fedder_module_principal_case(p):
     for _ in range(8):
         g = rand_poly(rng, ctx, nonzero=True)
         C = fedder_module(ideal(g))
-        assert _same_ideal(C, ideal(g.pow_p_minus_1()))
+        assert _same_ideal(C, ideal(g ** (p - 1)))
 
 
 def test_fedder_module_origin_p2():
@@ -389,19 +389,6 @@ def test_normal_form_matches_max_scan_division(data, order):
     assert normal_form(f, G).terms == _reference_normal_form(f, basis, order)
     gb = buchberger(IdealPresentation(ctx, basis), order)
     assert normal_form(f, gb).terms == _reference_normal_form(f, list(gb.basis), order)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_desc_key_sorts_descending(data):
-    n = data.draw(st.integers(1, 4))
-    monomials = data.draw(st.lists(st.tuples(*[st.integers(0, 4)] * n), unique=True, max_size=12))
-    orders = [MonomialOrder.lex(), MonomialOrder.grevlex()]
-    orders += [MonomialOrder.elim(k) for k in range(1, n)]
-    for order in orders:
-        assert sorted(monomials, key=order.desc_key) == sorted(
-            monomials, key=order.key, reverse=True
-        )
 
 
 def test_groebner_basis_keeps_leading_monomials():

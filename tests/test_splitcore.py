@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -203,6 +204,18 @@ def test_localized_formula_frozen_values():
     assert num.is_zero() and den == x
     num, den = localized_apply(TwistedEndo(x), x, x)
     assert num == x and den == x
+
+
+def test_localized_sparse_denominator_at_large_p_is_fast():
+    # den^(p-1) = sum_k C(p-1, k) x^k (y+1)^k has 5151 terms, and its one
+    # term x^(p-1) y^(p-1) has coefficient 1, so the trace sends it to 1.
+    ctx = ring(101, "x y")
+    x, y = ctx.variable("x"), ctx.variable("y")
+    den = x * y + x + ctx.one()
+    start = time.perf_counter()
+    num, _ = localized_apply(TwistedEndo(ctx.one()), ctx.one(), den)
+    assert time.perf_counter() - start < 0.25
+    assert num == ctx.one()
 
 
 def test_localized_zero_denominator():
