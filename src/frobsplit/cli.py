@@ -21,7 +21,7 @@ import json
 import re
 import sys
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 from typing import Any, Callable, Sequence
 
@@ -136,6 +136,20 @@ class CorpusCase:
         Prime(self.prime)
         object.__setattr__(self, "context", ring(self.prime, self.variables) if self.variables else None)
 
+    def parse(self, text: str) -> Polynomial:
+        """An expression in the case's ring."""
+        if self.context is None:
+            raise ValueError(f"case {self.name!r} has no variables")
+        return parse_expr(text, self.context)
+
+    @cached_property
+    def section(self) -> TwistedEndo:
+        """The section sigma, parsed once for all the case's checks.  An
+        error is not cached: each check that needs sigma raises it again."""
+        if self.sigma is None:
+            raise ValueError(f"case {self.name!r} has no sigma expression")
+        return TwistedEndo(self.parse(self.sigma))
+
     @classmethod
     def from_json(cls, obj: Any) -> "CorpusCase":
         """A case from its corpus entry; ValueError unless it fits ``CHECKS``."""
@@ -175,30 +189,20 @@ class _Run:
         self.check = check
         self.ctx = case.context
 
-    def poly(self, text: str) -> Polynomial:
-        if self.ctx is None:
-            raise ValueError(f"case {self.case.name!r} has no variables")
-        return parse_expr(text, self.ctx)
-
-    def sigma(self) -> TwistedEndo:
-        if self.case.sigma is None:
-            raise ValueError(f"case {self.case.name!r} has no sigma expression")
-        return TwistedEndo(self.poly(self.case.sigma))
-
     def ideal(self) -> IdealPresentation:
-        return IdealPresentation(self.ctx, [self.poly(s) for s in self.check["ideal"]])
+        return IdealPresentation(self.ctx, [self.case.parse(s) for s in self.check["ideal"]])
 
     def splitting(self) -> tuple[Any, Any]:
-        v = check_splitting(self.sigma())
+        v = check_splitting(self.case.section)
         if v.witness is not None:
             return v.kind.value, {"witness": render_truncated(v.witness)}
         return v.kind.value, None if v.constant is None else {"constant": str(v.constant)}
 
     def spans(self) -> tuple[Any, Any]:
-        return check_splitting(self.sigma()).spans, None
+        return check_splitting(self.case.section).spans, None
 
     def compatible(self) -> tuple[Any, Any]:
-        return is_compatible(self.sigma(), self.ideal(), self.check.get("method", "both")), None
+        return is_compatible(self.case.section, self.ideal(), self.check.get("method", "both")), None
 
     def fedder(self) -> tuple[Any, Any]:
         C = fedder_module(self.ideal())
@@ -209,14 +213,14 @@ class _Run:
         return res.exists, {"obstruction": [str(g) for g in res.obstruction.basis]}
 
     def d_split(self) -> tuple[Any, Any]:
-        sigma, h = self.sigma(), self.poly(self.check["divisor"])
+        sigma, h = self.case.section, self.case.parse(self.check["divisor"])
         if h.is_zero():
             raise ValueError("the divisor must be nonzero")
         return is_divisor_splitting(sigma, h), None
 
     def chain(self) -> tuple[Any, Any]:
         """Certify the chain in the check's ``order``, or search for one."""
-        coeff = self.sigma().coeff
+        coeff = self.case.section.coeff
         if self.check.get("order") is None:
             return _search(coeff)
         unknown = [name for name in self.check["order"] if name not in self.ctx.variables]
@@ -233,11 +237,11 @@ class _Run:
         return res.split, {"witness": res.witness}
 
     def nilpotent(self) -> tuple[Any, Any]:
-        g = self.poly(self.check["element"])
+        g = self.case.parse(self.check["element"])
         return nilpotent_witness(g, self.ideal(), self.check.get("bound", 4)), None
 
     def p1(self) -> tuple[Any, Any]:
-        res = p1_extension_check(self.sigma())
+        res = p1_extension_check(self.case.section)
         keys = ("extends", "compatible_zero", "compatible_infinity")
         verdict = {key: getattr(res, key) for key in keys}
         other = res.other_chart

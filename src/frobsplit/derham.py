@@ -1,7 +1,9 @@
 """Polynomial differential forms and the top-degree Cartier operator.
 
-Forms are stored sparsely as (monomial, strictly increasing index tuple)
--> residue.  The module provides the exterior derivative and wedge
+A form of degree k is stored as one coefficient polynomial per strictly
+increasing index tuple (i_1, ..., i_k), the coefficient of
+dx_i_1 ^ ... ^ dx_i_k, with nonzero coefficients only; its arithmetic is
+``Polynomial``'s.  The module provides the exterior derivative and wedge
 product, the carry polynomial ((X+Y)^p - X^p - Y^p)/p behind the
 additivity of f -> f^(p-1) df, the Cartier operator on top forms (which
 in coordinates is exactly the Frobenius trace on the coefficient), and
@@ -31,19 +33,27 @@ class NoSuchIndexError(ValueError):
     """Every exponent is p-1 mod p; the form is not exhibited as exact."""
 
 
-FormKey = tuple[Monomial, tuple[int, ...]]
+Index = tuple[int, ...]
+"""Strictly increasing variable indices (i_1, ..., i_k) of dx_i_1 ^ ... ^ dx_i_k."""
+
+FormKey = tuple[Monomial, Index]
 
 
 class DifferentialForm:
-    """Immutable polynomial differential form of fixed degree."""
+    """Immutable polynomial differential form of fixed degree.
 
-    __slots__ = ("context", "degree", "terms")
+    ``coefficients`` maps index tuples to nonzero polynomials; treat it as
+    read-only.  The constructor takes terms ``{(monomial, index): residue}``
+    and groups them into those polynomials, which reject a negative
+    exponent with ValueError.
+    """
+
+    __slots__ = ("context", "degree", "coefficients")
 
     def __init__(self, context: RingContext, degree: int, terms: Mapping[FormKey, int]):
         if not 0 <= degree <= context.arity:
             raise ValueError(f"form degree {degree} out of range")
-        p = context.p
-        clean: dict[FormKey, int] = {}
+        grouped: dict[Index, dict[Monomial, int]] = {}
         for (m, idx), c in terms.items():
             if len(idx) != degree or list(idx) != sorted(set(idx)):
                 raise ValueError(f"index tuple {idx} must be strictly increasing of length {degree}")
@@ -51,40 +61,45 @@ class DifferentialForm:
                 raise IndexError(f"form index out of range in {idx}")
             if len(m) != context.arity:
                 raise ValueError("monomial arity mismatch")
-            c %= p
-            if c:
-                clean[(tuple(m), tuple(idx))] = c
+            grouped.setdefault(tuple(idx), {})[tuple(m)] = c
+        self._set(context, degree, {idx: Polynomial(context, ms) for idx, ms in grouped.items()})
+
+    def _set(self, context: RingContext, degree: int, coefficients: Mapping[Index, Polynomial]) -> None:
         self.context = context
         self.degree = degree
-        self.terms = clean
+        self.coefficients = {idx: f for idx, f in coefficients.items() if not f.is_zero()}
+
+    @classmethod
+    def _of(
+        cls, context: RingContext, degree: int, coefficients: Mapping[Index, Polynomial]
+    ) -> "DifferentialForm":
+        # Internal: the caller guarantees valid index tuples; zero
+        # coefficients are dropped.
+        form = object.__new__(cls)
+        form._set(context, degree, coefficients)
+        return form
 
     @classmethod
     def from_polynomial(cls, f: Polynomial) -> "DifferentialForm":
-        return cls(f.context, 0, {(m, ()): c for m, c in f.terms.items()})
+        return cls._of(f.context, 0, {(): f})
 
     @classmethod
     def zero(cls, context: RingContext, degree: int) -> "DifferentialForm":
         return cls(context, degree, {})
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.coefficients
 
     def __add__(self, other: "DifferentialForm") -> "DifferentialForm":
         if self.context != other.context or self.degree != other.degree:
             raise ContextMismatchError("can only add forms of equal degree in one ring")
-        p = self.context.p
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = (out.get(k, 0) + c) % p
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return DifferentialForm(self.context, self.degree, out)
+        out = dict(self.coefficients)
+        for idx, g in other.coefficients.items():
+            _add_signed(out, idx, 1, g)
+        return self._of(self.context, self.degree, out)
 
     def __neg__(self) -> "DifferentialForm":
-        p = self.context.p
-        return DifferentialForm(self.context, self.degree, {k: p - c for k, c in self.terms.items()})
+        return self._of(self.context, self.degree, {idx: -f for idx, f in self.coefficients.items()})
 
     def __sub__(self, other: "DifferentialForm") -> "DifferentialForm":
         return self + (-other)
@@ -93,33 +108,23 @@ class DifferentialForm:
         """Ordinary module structure: multiply every coefficient by f."""
         if f.context != self.context:
             raise ContextMismatchError("polynomial from a different ring")
-        p = self.context.p
-        out: dict[FormKey, int] = {}
-        for (m, idx), c in self.terms.items():
-            for mf, cf in f.terms.items():
-                key = (tuple(a + b for a, b in zip(m, mf)), idx)
-                s = (out.get(key, 0) + c * cf) % p
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return DifferentialForm(self.context, self.degree, out)
+        return self._of(self.context, self.degree, {idx: g * f for idx, g in self.coefficients.items()})
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, DifferentialForm)
             and self.context == other.context
             and self.degree == other.degree
-            and self.terms == other.terms
+            and self.coefficients == other.coefficients
         )
 
     def __str__(self) -> str:
-        if not self.terms:
+        terms = [(m, idx, c) for idx, f in self.coefficients.items() for m, c in f.terms.items()]
+        if not terms:
             return "0"
         names = self.context.variables
         parts = []
-        for (m, idx) in sorted(self.terms, key=lambda k: (grevlex_key(k[0]), k[1]), reverse=True):
-            c = self.terms[(m, idx)]
+        for m, idx, c in sorted(terms, key=lambda t: (grevlex_key(t[0]), t[1]), reverse=True):
             dpart = "^".join(f"d{names[i]}" for i in idx)
             if idx and c == 1 and all(e == 0 for e in m):
                 parts.append(dpart)
@@ -133,41 +138,26 @@ class DifferentialForm:
         return f"DifferentialForm({self})"
 
 
-def _insert_index(i: int, idx: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
-    """Insert i into the increasing tuple idx; None when already present.
-
-    Returns the sign (-1)^(position) and the new tuple.
-    """
-    if i in idx:
-        return None
-    pos = sum(1 for j in idx if j < i)
-    sign = -1 if pos % 2 else 1
-    return sign, tuple(sorted(idx + (i,)))
+def _add_signed(out: dict[Index, Polynomial], idx: Index, sign: int, f: Polynomial) -> None:
+    """out[idx] += sign * f, for sign +1 or -1."""
+    term = f if sign > 0 else -f
+    out[idx] = out[idx] + term if idx in out else term
 
 
 def exterior_d(w: DifferentialForm) -> DifferentialForm:
     """Exterior derivative, with partial derivatives taken mod p."""
     ctx = w.context
-    p = ctx.p
     if w.degree == ctx.arity:
         # Everything above the top degree vanishes.
         return DifferentialForm.zero(ctx, w.degree)
-    out: dict[FormKey, int] = {}
-    for (m, idx), c in w.terms.items():
-        for i, e in enumerate(m):
-            if e % p == 0:
-                continue
-            ins = _insert_index(i, idx)
-            if ins is None:
-                continue
-            sign, new_idx = ins
-            dm = tuple(a - 1 if j == i else a for j, a in enumerate(m))
-            s = (out.get((dm, new_idx), 0) + sign * c * e) % p
-            if s:
-                out[(dm, new_idx)] = s
-            else:
-                out.pop((dm, new_idx), None)
-    return DifferentialForm(ctx, w.degree + 1, out)
+    out: dict[Index, Polynomial] = {}
+    for idx, f in w.coefficients.items():
+        for i in range(ctx.arity):
+            if i not in idx:
+                # dx_i ^ dx_idx: dx_i moves past the indices below i.
+                below = sum(1 for j in idx if j < i)
+                _add_signed(out, tuple(sorted(idx + (i,))), -1 if below % 2 else 1, f.derivative(i))
+    return DifferentialForm._of(ctx, w.degree + 1, out)
 
 
 def wedge(a: DifferentialForm, b: DifferentialForm) -> DifferentialForm:
@@ -177,23 +167,15 @@ def wedge(a: DifferentialForm, b: DifferentialForm) -> DifferentialForm:
     n = a.context.arity
     if a.degree + b.degree > n:
         raise ValueError(f"wedge degree {a.degree + b.degree} exceeds the dimension {n}")
-    p = a.context.p
-    out: dict[FormKey, int] = {}
-    for (ma, ia), ca in a.terms.items():
-        for (mb, ib), cb in b.terms.items():
+    out: dict[Index, Polynomial] = {}
+    for ia, fa in a.coefficients.items():
+        for ib, fb in b.coefficients.items():
             if set(ia) & set(ib):
                 continue
-            merged = tuple(sorted(ia + ib))
             # Sign of the permutation sorting ia+ib: count inversions.
             inv = sum(1 for x in ia for y in ib if x > y)
-            sign = -1 if inv % 2 else 1
-            key = (tuple(x + y for x, y in zip(ma, mb)), merged)
-            s = (out.get(key, 0) + sign * ca * cb) % p
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-    return DifferentialForm(a.context, a.degree + b.degree, out)
+            _add_signed(out, tuple(sorted(ia + ib)), -1 if inv % 2 else 1, fa * fb)
+    return DifferentialForm._of(a.context, a.degree + b.degree, out)
 
 
 def volume_form(ctx: RingContext) -> DifferentialForm:

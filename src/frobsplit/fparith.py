@@ -383,6 +383,20 @@ class Polynomial:
             k >>= 1
         return self.context.one() if result is None else result
 
+    def derivative(self, var: int) -> "Polynomial":
+        """The partial derivative in the variable of index ``var``, mod p.
+
+        Lowering one exponent maps distinct monomials to distinct ones,
+        so this is one pass over the terms with nothing to accumulate.
+        """
+        p = self.context.p
+        out: dict[Monomial, int] = {}
+        for m, c in self.terms.items():
+            e = m[var]
+            if e % p:
+                out[m[:var] + (e - 1,) + m[var + 1 :]] = c * e % p
+        return Polynomial._raw(self.context, out)
+
     def frobenius(self) -> "Polynomial":
         """f^p, computed by scaling every exponent vector by p.
 

@@ -12,6 +12,7 @@ generated here as well.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import nsmallest
 
 from .fparith import (
     Coefficient,
@@ -19,6 +20,7 @@ from .fparith import (
     NotDivisibleError,
     Polynomial,
     RingContext,
+    grevlex_desc_key,
     ring,
     term_str,
 )
@@ -26,10 +28,6 @@ from .fparith import (
 
 class VanishingResidueError(ArithmeticError):
     """The residue is identically zero (a repeated component in the divisor)."""
-
-
-class NonConstantTerminalError(ArithmeticError):
-    """The chain processed every variable but did not end in a constant."""
 
 
 @dataclass(frozen=True)
@@ -77,8 +75,9 @@ def certify_chain(f: Polynomial, order: list[int] | tuple[int, ...]) -> ResidueC
     """Run residues through every variable in the given order.
 
     ``order`` must be a permutation of all variable indices.  Step errors
-    propagate; on success the final polynomial is constant and nonzero
-    and becomes the terminal.
+    propagate.  Each step keeps only exponent p-1 in its variable and sets
+    it to 0, so after every variable the result is a nonzero constant:
+    the terminal.
     """
     ctx = f.context
     if sorted(order) != list(range(ctx.arity)):
@@ -88,8 +87,6 @@ def certify_chain(f: Polynomial, order: list[int] | tuple[int, ...]) -> ResidueC
     for var in order:
         current = residue_step(current, var)
         steps.append((var, current))
-    if not current.is_constant():
-        raise NonConstantTerminalError(f"chain ended in {current}")
     return ResidueChain(initial=f, steps=tuple(steps), terminal=current.constant_value())
 
 
@@ -193,5 +190,6 @@ def render_truncated(f: Polynomial, limit: int = 40) -> str:
     n_terms = len(f.terms)
     if n_terms <= limit:
         return str(f)
-    shown = [term_str(f.context, m, c) for m, c in list(f.sorted_terms())[:limit]]
+    # The first ``limit`` terms in print order, without sorting the rest.
+    shown = [term_str(f.context, m, f.terms[m]) for m in nsmallest(limit, f.terms, key=grevlex_desc_key)]
     return " + ".join(shown) + f" + ... ({n_terms} terms)"

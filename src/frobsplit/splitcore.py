@@ -239,13 +239,20 @@ def _power_divides(f: Polynomial, k: int) -> bool:
     return min(m[0] for m in f.terms) >= k
 
 
+SEMIGROUP_TABLE_BUDGET = 10**6
+"""Entries allowed in a numerical semigroup's membership table, one per
+integer up to the Schur bound: about 1 s of dynamic programming."""
+
+
 @dataclass(frozen=True)
 class NumericalSemigroup:
     """Numerical semigroup generated by positive integers with gcd 1.
 
     The gap set (complement in the naturals) and conductor (least c with
     [c, infinity) contained in the semigroup) are computed at
-    construction by dynamic programming up to the Schur bound.
+    construction by dynamic programming up to the Schur bound
+    (a_min - 1)(a_max - 1).  A bound over ``SEMIGROUP_TABLE_BUDGET`` is
+    refused with ValueError before the table is built.
     """
 
     generators: tuple[int, ...]
@@ -260,6 +267,10 @@ class NumericalSemigroup:
         if math.gcd(*gens) != 1:
             raise ValueError("generators must have gcd 1")
         bound = (gens[0] - 1) * (gens[-1] - 1)
+        if bound > SEMIGROUP_TABLE_BUDGET:
+            raise ValueError(
+                f"semigroup too large: its Schur bound {bound} is over {SEMIGROUP_TABLE_BUDGET}"
+            )
         table = [False] * (bound + 1)
         table[0] = True
         for i in range(1, bound + 1):

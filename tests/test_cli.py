@@ -4,8 +4,11 @@ import json
 
 import pytest
 
+from frobsplit import cli, parse_expr
 from frobsplit.cli import (
+    CHECKS,
     CorpusCase,
+    _load_corpus,
     main,
     run_case,
     shipped_corpus_path,
@@ -148,6 +151,43 @@ def test_case_errors_are_captured_not_fatal():
     assert not report.passed
     assert len(report.checks) == 2
     assert all("error" in str(c.verdict) for c in report.checks)
+
+
+def test_case_parses_its_section_once(monkeypatch):
+    texts = []
+
+    def counting_parse(text, ctx):
+        texts.append(text)
+        return parse_expr(text, ctx)
+
+    monkeypatch.setattr(cli, "parse_expr", counting_parse)
+    checks = (
+        {"kind": "splitting"},
+        {"kind": "spans"},
+        {"kind": "chain"},
+        {"kind": "d-split", "divisor": "x"},
+    )
+    case = CorpusCase("cross", 3, ("x", "y"), "(x*y)^(p-1)", checks)
+    assert run_case(case).passed
+    assert texts == ["(x*y)^(p-1)", "x"]
+    # Across the shipped corpus: one parse for sigma, one per other expression.
+    for case in _load_corpus(shipped_corpus_path()):
+        texts.clear()
+        run_case(case)
+        needs_sigma = any("sigma" in CHECKS[check["kind"]][0] for check in case.checks)
+        others = sum(
+            len(check.get("ideal", ())) + ("divisor" in check) + ("element" in check)
+            for check in case.checks
+        )
+        assert len(texts) == needs_sigma + others
+
+
+def test_unparsable_section_fails_every_check_that_needs_it():
+    checks = ({"kind": "splitting"}, {"kind": "spans"}, {"kind": "semigroup", "generators": [1]})
+    report = run_case(CorpusCase("broken", 3, ("x",), "x +", checks))
+    verdicts = [c.verdict for c in report.checks]
+    assert verdicts[0] == verdicts[1] and verdicts[0].startswith("error: ")
+    assert verdicts[2] is True
 
 
 def test_parse_error_exit_code(capsys):

@@ -6,6 +6,8 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frobsplit import (
     DifferentialForm,
@@ -257,3 +259,35 @@ def test_form_rendering_canonical():
     top = volume_form(ctx).times_poly(ctx.monomial((1, 1)))
     assert str(top) == "x*y dx^dy"
     assert str(DifferentialForm.zero(ctx, 1)) == "0"
+
+
+@st.composite
+def forms(draw, ctx, degree):
+    """Forms of ``degree`` with up to four terms, exponents at most 2p."""
+    idx = st.lists(st.integers(0, ctx.arity - 1), min_size=degree, max_size=degree, unique=True)
+    exps = st.tuples(*[st.integers(0, 2 * ctx.p)] * ctx.arity)
+    keys = st.tuples(exps, idx.map(lambda i: tuple(sorted(i))))
+    terms = draw(st.dictionaries(keys, st.integers(1, ctx.p - 1), max_size=4))
+    return DifferentialForm(ctx, degree, terms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_graded_leibniz_rule(data):
+    # d(a ^ b) = da ^ b + (-1)^deg(a) a ^ db, with deg(a) + deg(b) < n.
+    p = data.draw(st.sampled_from([2, 3, 5]))
+    ctx = ring(p, "x y z")
+    da = data.draw(st.integers(0, 2))
+    a = data.draw(forms(ctx, da))
+    b = data.draw(forms(ctx, data.draw(st.integers(0, 2 - da))))
+    second = wedge(a, exterior_d(b))
+    expected = wedge(exterior_d(a), b) + (-second if da % 2 else second)
+    assert exterior_d(wedge(a, b)) == expected
+
+
+def test_forms_group_terms_into_coefficients():
+    ctx = ring(3, "x y")
+    w = DifferentialForm(ctx, 1, {((1, 0), (0,)): 1, ((0, 1), (0,)): 2, ((2, 0), (1,)): 3})
+    assert w.coefficients == {(0,): ctx.variable("x") + ctx.variable("y").scale(2)}
+    with pytest.raises(ValueError, match="negative exponent"):
+        DifferentialForm(ctx, 0, {((-1, 0), ()): 1})

@@ -350,3 +350,21 @@ def test_compose():
     f = src.monomial((1, 1)) + src.one()
     x, y = dst.variable("x"), dst.variable("y")
     assert compose(f, [x + y, x]) == (x + y) * x + dst.one()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_derivative_product_rule(data):
+    ctx = data.draw(contexts)
+    f, g = data.draw(polys(ctx)), data.draw(polys(ctx))
+    i = data.draw(st.integers(0, ctx.arity - 1))
+    assert (f * g).derivative(i) == f.derivative(i) * g + f * g.derivative(i)
+    # A p-th power is a constant for every derivation.
+    assert f.frobenius().derivative(i).is_zero()
+
+
+def test_derivative_example():
+    ctx = ring(3, "x y")
+    f = parse_expr("x^4*y + 2*x^3 + x*y^2 + y", ctx)
+    assert f.derivative(0) == parse_expr("x^3*y + y^2", ctx)
+    assert f.derivative(1) == parse_expr("x^4 + 2*x*y + 1", ctx)

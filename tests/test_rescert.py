@@ -29,6 +29,7 @@ from frobsplit import (
     search_chain,
     substitute_zero,
 )
+from frobsplit.fparith import term_str
 from frobsplit.rescert import render_truncated
 from _util import contexts, polys, rand_poly
 
@@ -249,3 +250,14 @@ def test_render_truncated():
     assert text.endswith("... (50 terms)")
     short = parse_expr("x^2+x", ctx)
     assert render_truncated(short) == str(short)
+
+
+@pytest.mark.parametrize("p, limit", [(2, 5), (3, 40), (5, 1)])
+def test_render_truncated_matches_full_sort(p, limit):
+    rng = random.Random(2300 + p)
+    ctx = ring(p, "x y z")
+    for max_terms in (limit - 1, limit, limit + 1, 3 * limit):
+        f = rand_poly(rng, ctx, max_deg=6, max_terms=max(max_terms, 0))
+        head = [term_str(ctx, m, c) for m, c in list(f.sorted_terms())[:limit]]
+        full = " + ".join(head) + f" + ... ({len(f.terms)} terms)"
+        assert render_truncated(f, limit) == (str(f) if len(f.terms) <= limit else full)

@@ -26,8 +26,10 @@ from frobsplit import (
     parse_expr,
     ring,
     semigroup_split_check,
+    splitcore,
     tensor,
 )
+from frobsplit.cli import main
 from _util import contexts, polys, rand_poly
 
 
@@ -350,6 +352,27 @@ def test_semigroup_validation():
         NumericalSemigroup([2, 4])
     with pytest.raises(ValueError):
         NumericalSemigroup([0, 3])
+
+
+@pytest.mark.parametrize("gens", [[100000, 100001], [10000, 10001]])
+def test_semigroup_over_budget_is_refused_at_once(gens, capsys):
+    # The first ran out of memory and the second past 60 s building the table.
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="semigroup too large"):
+        NumericalSemigroup(gens)
+    argv = ["semigroup", "-p", "3", "--gens", ",".join(map(str, gens))]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: semigroup too large")
+    assert time.perf_counter() - start < 0.5
+
+
+def test_semigroup_budget_is_the_schur_bound(monkeypatch):
+    # <4, 7> has Schur bound 3 * 6 = 18.
+    monkeypatch.setattr(splitcore, "SEMIGROUP_TABLE_BUDGET", 18)
+    assert NumericalSemigroup([4, 7]).conductor == 18
+    monkeypatch.setattr(splitcore, "SEMIGROUP_TABLE_BUDGET", 17)
+    with pytest.raises(ValueError, match="Schur bound 18"):
+        NumericalSemigroup([4, 7])
 
 
 def test_semigroup_witness_certifies():
