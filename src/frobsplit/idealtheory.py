@@ -6,8 +6,10 @@ is a packed int key (``fparith.Packing``, laid out per order by
 ``MonomialOrder.layout``): heaps hold bare ints, a multiple of a term is
 one int addition, divisibility is a guard-bit test, and exponent tuples
 come back only in the result.  Every basis element's leading monomial is
-found once, when the element is added, and a ``GroebnerBasis`` keeps its
-elements packed, so a normal form packs only the polynomial reduced.
+found once, when the element is added.  A ``GroebnerBasis`` keeps its
+elements packed in one slot, filled on first use or handed over by
+``buchberger`` with the divisors it reduced with, so a normal form packs
+only the polynomial reduced; its leading monomials are read from there.
 S-pairs wait on a heap keyed by the order key of their lcm (the normal
 selection strategy, ties broken by index), pruned by the Gebauer-Moller
 update as each element arrives.  The result is inter-reduced, so the
@@ -26,8 +28,8 @@ refused before they are built (``FEDDER_TERM_BUDGET``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache, partial, reduce
+from dataclasses import dataclass
+from functools import cached_property, lru_cache, partial, reduce
 from heapq import heappop, heappush
 from math import log, prod
 from typing import Iterator
@@ -152,72 +154,44 @@ def ideal(*generators: Polynomial) -> IdealPresentation:
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """A Groebner basis with the leading monomial of each element, which
-    is computed once here, and its elements as packed divisors, packed
-    once per field width."""
+    """A Groebner basis, its elements packed once in one slot: ``packed``,
+    a packing at the narrowest width that fits them and their divisors for
+    ``divide_terms``, filled on first use or by ``buchberger`` with the
+    divisors it reduced with.  Leading monomials are the least packed keys.
+    """
 
     context: RingContext
     order: MonomialOrder
     basis: tuple[Polynomial, ...]
-    leads: tuple[Monomial, ...] = field(init=False, repr=False, compare=False)
-    _divisors: dict[Packing, list[Divisor]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        leads = tuple(_leading(g, self.order)[0] for g in self.basis)
-        object.__setattr__(self, "leads", leads)
-        object.__setattr__(self, "_divisors", {})
+        if self.basis:
+            self.order.layout(self.context.arity)  # ValueError if the order does not fit
 
-    @classmethod
-    def _reduced(
-        cls,
-        context: RingContext,
-        order: MonomialOrder,
-        basis: tuple[Polynomial, ...],
-        leads: tuple[Monomial, ...],
-        pk: Packing,
-        divisors: list[Divisor],
-    ) -> "GroebnerBasis":
-        """The basis ``buchberger`` returns, with the leads it found and
-        the divisors it packed with ``pk``."""
-        G = object.__new__(cls)
-        for name, value in (
-            ("context", context),
-            ("order", order),
-            ("basis", basis),
-            ("leads", leads),
-            ("_divisors", {pk: divisors}),
-        ):
-            object.__setattr__(G, name, value)
-        return G
+    @cached_property
+    def packed(self) -> tuple[Packing, list[Divisor]]:
+        bits = fit_bits(max((degree(g.terms) for g in self.basis), default=0))
+        pk = packing(self.order.layout(self.context.arity), bits)
+        return pk, _pack(self.basis, pk, self.context.p)
 
-    def _packing(self, bits: int) -> Packing:
-        """The narrowest packing, ``bits`` wide or wider, that fits the
-        elements; the first one they were packed with fits them."""
-        if self._divisors:
-            pk = next(iter(self._divisors))
-        else:
-            need = fit_bits(max(degree(g.terms) for g in self.basis))
-            pk = packing(self.order.layout(self.context.arity), need)
-        while pk.bits < bits:
-            pk = pk.wider()
-        return pk
-
-    def _packed(self, pk: Packing) -> list[Divisor]:
-        divisors = self._divisors.get(pk)
-        if divisors is None:
-            p = self.context.p
-            divisors = [
-                make_divisor(pk.pack_terms(g.terms), pk.pack(lm), p, pk)
-                for g, lm in zip(self.basis, self.leads)
-            ]
-            self._divisors[pk] = divisors
-        return divisors
+    @cached_property
+    def leads(self) -> tuple[Monomial, ...]:
+        if not self.basis:
+            return ()
+        pk, divisors = self.packed
+        return tuple(pk.unpack(lead) for lead, *_ in divisors)
 
     def contains(self, f: Polynomial) -> bool:
         return normal_form(f, self).is_zero()
 
     def is_unit_ideal(self) -> bool:
         return any(g.is_constant() and not g.is_zero() for g in self.basis)
+
+
+def _pack(basis: tuple[Polynomial, ...], pk: Packing, p: int) -> list[Divisor]:
+    """Polynomials as divisors packed with ``pk``, each led by its least key."""
+    packed = [pk.pack_terms(g.terms) for g in basis]
+    return [make_divisor(terms, min(terms), p, pk) for terms in packed]
 
 
 def _leading(f: Polynomial, order: MonomialOrder) -> tuple[Monomial, int]:
@@ -271,11 +245,9 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomi
     p = f.context.p
     # No term of the S-polynomial has degree above deg f + deg g.
     pk = packing(order.layout(f.context.arity), fit_bits(degree(f.terms) + degree(g.terms)))
-    pf = pk.pack_terms(f.terms)
-    pg = pk.pack_terms(g.terms)
-    lf, lg = min(pf), min(pg)
-    _, lcm = _lcm(pk, pk.unpack(lf), pk.unpack(lg))
-    terms = _s_terms(make_divisor(pf, lf, p, pk), make_divisor(pg, lg, p, pk), lcm, p, pk.guards)
+    df, dg = _pack((f, g), pk, p)
+    _, lcm = _lcm(pk, pk.unpack(df[0]), pk.unpack(dg[0]))
+    terms = _s_terms(df, dg, lcm, p, pk.guards)
     return Polynomial._raw(f.context, pk.unpack_terms(terms))
 
 
@@ -398,29 +370,32 @@ def _buchberger(I: IdealPresentation, order: MonomialOrder, pk: Packing) -> Groe
         for m, c in rest.items():
             terms[unpack(m)] = c
         basis.append(Polynomial._raw(ctx, terms))
-    return GroebnerBasis._reduced(
-        ctx, order, tuple(basis), tuple(leads[i] for i in active), pk, divisors
-    )
+    G = GroebnerBasis(ctx, order, tuple(basis))
+    # Fill the cached slot with the divisors reduced with: no packing again.
+    vars(G)["packed"] = pk, divisors
+    return G
 
 
 def normal_form(f: Polynomial, G: GroebnerBasis) -> Polynomial:
     """Remainder of f modulo the basis; zero iff f lies in the ideal.
 
-    Only f is packed; the basis keeps its packed divisors."""
+    Only f is packed, unless its degree or an overflow needs the basis wider."""
     if f.context != G.context:
         raise ContextMismatchError("polynomial and basis from different rings")
     if f.is_zero() or not G.basis:
         return f
     p = f.context.p
+    start, divisors = G.packed
 
     def run(pk: Packing) -> dict[Monomial, int]:
         packed = pk.pack_terms(f.terms)
-        remainder = divide_terms(packed, G._packed(pk), p, pk)
+        remainder = divide_terms(packed, divisors if pk is start else _pack(G.basis, pk, p), p, pk)
         # Terms of f that survive keep their tuples; only new ones unpack.
         known = dict(zip(packed, f.terms))
         return {known.get(k) or pk.unpack(k): c for k, c in remainder.items()}
 
-    pk = G._packing(fit_bits(degree(f.terms)))
+    bits = fit_bits(degree(f.terms))
+    pk = start if start.bits >= bits else packing(start.layout, bits)
     return Polynomial._raw(f.context, packed_call(pk, run))
 
 

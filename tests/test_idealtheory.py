@@ -584,6 +584,57 @@ def test_division_overflowing_the_start_width_matches_max_scan(monkeypatch):
     assert remainder.terms == _reference_normal_form(f, basis, lex)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.sampled_from(ORDERS))
+def test_leads_are_the_least_packed_keys(data, order):
+    from frobsplit.idealtheory import _leading
+
+    ctx = data.draw(contexts.filter(lambda c: c.arity >= 2))
+    gens = data.draw(st.lists(polys(ctx, max_exp=2, max_terms=4, nonzero=True), min_size=1, max_size=3))
+    G = buchberger(IdealPresentation(ctx, gens), order)
+    for basis in (tuple(gens), G.basis):
+        assert GroebnerBasis(ctx, order, basis).leads == tuple(_leading(g, order)[0] for g in basis)
+    assert G.leads == GroebnerBasis(ctx, order, G.basis).leads
+
+
+def test_groebner_basis_checks_its_order_when_built():
+    ctx = ring(3, "x y")
+    with pytest.raises(ValueError, match="elimination block"):
+        GroebnerBasis(ctx, MonomialOrder.elim(2), (parse_expr("x", ctx),))
+    assert GroebnerBasis(ctx, MonomialOrder.elim(2), ()).leads == ()
+
+
+def test_normal_forms_widen_only_when_needed(monkeypatch):
+    # Under elim(1), t reduced by t - y^255 is y^255, in the 8-bit fields
+    # the basis is packed with; t*x is x*y^255, which overflows them, and
+    # x^300 is wider than them from the start.
+    ctx = ring(5, "t x y")
+    order = MonomialOrder.elim(1)
+    basis = [parse_expr("t - y^255", ctx)]
+    G = GroebnerBasis(ctx, order, tuple(basis))
+    widths = _spy_widths(monkeypatch)
+    for text in ["t + x", "t*x", "2*t + y", "x^300 + t", "3*t"]:
+        f = parse_expr(text, ctx)
+        assert normal_form(f, G).terms == _reference_normal_form(f, basis, order)
+    assert widths == [8, 8, 16, 8, 16, 8]
+    assert G.packed[0].bits == 8
+
+
+def test_buchberger_hands_its_divisors_to_the_basis(monkeypatch):
+    import frobsplit.idealtheory as idealtheory
+
+    ctx = ring(3, "x y z")
+    G = buchberger(_ideal(ctx, "x^2+y", "x*y+z", "2*y^2+x*z"))
+    made = []
+    make = idealtheory.make_divisor
+    monkeypatch.setattr(idealtheory, "make_divisor", lambda *args: made.append(args) or make(*args))
+    assert G.contains(parse_expr("x*(x^2+y) + z*(x*y+z)", ctx))
+    assert not G.contains(parse_expr("x", ctx))
+    assert made == []
+    assert G.packed == GroebnerBasis(ctx, G.order, G.basis).packed
+    assert made
+
+
 def _assert_groebner_by_max_scan(G: GroebnerBasis, I: IdealPresentation) -> None:
     """The generators and every S-polynomial of G reduce to zero modulo G
     by the max-scan reference, and no term of G is divisible by the

@@ -22,8 +22,11 @@ from frobsplit import (
     homogeneous_fastpath,
     is_divisor_splitting,
     localized_apply,
+    matrix_context,
+    matrix_section_coefficient,
     p1_extension_check,
     parse_expr,
+    rescert,
     ring,
     semigroup_split_check,
     splitcore,
@@ -373,6 +376,26 @@ def test_semigroup_budget_is_the_schur_bound(monkeypatch):
     monkeypatch.setattr(splitcore, "SEMIGROUP_TABLE_BUDGET", 17)
     with pytest.raises(ValueError, match="Schur bound 18"):
         NumericalSemigroup([4, 7])
+
+
+def test_matrix_product_budget_is_the_largest_step(monkeypatch):
+    # The 4x4 nested minors at p = 2: the largest multiplication is that of
+    # the 662-term product so far by the 2-term trailing 2x2 minor.
+    ctx = matrix_context(4, 2)
+    monkeypatch.setattr(rescert, "MATRIX_PRODUCT_BUDGET", 1324)
+    assert not matrix_section_coefficient(ctx, 4).is_zero()
+    monkeypatch.setattr(rescert, "MATRIX_PRODUCT_BUDGET", 1323)
+    with pytest.raises(ValueError, match="takes 1324 term products"):
+        matrix_section_coefficient(ctx, 4)
+
+
+def test_matrix_demo_over_budget_is_refused_at_once(capsys):
+    # It ended in a MemoryError traceback after 53 s under a 2 GB limit.
+    start = time.perf_counter()
+    assert main(["matrix-demo", "--size", "6", "-p", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: matrix too large") and err.count("\n") == 1
+    assert time.perf_counter() - start < 2
 
 
 def test_semigroup_witness_certifies():
