@@ -17,13 +17,14 @@ basis returned for given generators and order is unique and the whole
 pipeline is deterministic.  On top of it sit the Frobenius bracket power
 I^[p], colon ideals by tag-variable elimination, the colon module
 (I^[p] : I) whose elements are exactly the coefficients of twisted
-endomorphisms compatible with I (Fedder's criterion; a coefficient is
-tested against each colon (I^[p] : g) in turn, never against their
-intersection, and (g^[p] : g) is (g^(p-1)) for I = (g)), an independent
-check by p-th-root decomposition used to cross-validate it, the
-existence test for compatible splittings on the same decomposition, and
-nilpotency witnesses.  Fedder modules that would be too large are
-refused before they are built (``FEDDER_TERM_BUDGET``).
+endomorphisms compatible with I (Fedder's criterion; (g^[p] : g) is
+(g^(p-1)) for I = (g)), the compatibility check by membership of c * g
+in I^[p] for each generator g, one basis of I^[p] by its own Buchberger
+run and no colon built, an independent check by p-th-root decomposition
+used to cross-validate it, the existence test for compatible splittings
+on the same decomposition, and nilpotency witnesses.  Fedder modules and
+checks that would be too large are refused before anything is built
+(``FEDDER_TERM_BUDGET``).
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial, reduce
 from heapq import heappop, heappush
 from math import log, prod
-from typing import Iterator
 
 from .fparith import (
     ContextMismatchError,
@@ -455,18 +455,10 @@ FEDDER_TERM_BUDGET = 10**5
 the Fedder module of (g_1, ..., g_r): about 2 s of colon computation."""
 
 
-def _fedder_colons(I: IdealPresentation) -> Iterator[IdealPresentation]:
-    """The colons (I^[p] : g) of a nonzero ideal I, one per generator g,
-    built only as they are asked for; each one's generators are a grevlex
-    Groebner basis of it.
-
-    Raises ValueError, before the first colon is built, when the product
-    of the generators to the p-1 may have more than ``FEDDER_TERM_BUDGET``
-    terms (``fparith.log_power_terms``), as for (xy + x + 1) at p = 1009.
-    For I = (g) the one colon is (g^[p] : g) = (g^(p-1)), as R is a domain,
-    generated by ``g.pow_p_minus_1()`` scaled as elimination would give
-    it: by the inverse of g's grevlex leading coefficient.
-    """
+def _check_fedder_budget(I: IdealPresentation) -> None:
+    """Raise ValueError when the product of the generators of I to the p-1
+    may have more than ``FEDDER_TERM_BUDGET`` terms
+    (``fparith.log_power_terms``), as for (xy + x + 1) at p = 1009."""
     ctx = I.context
     cap = log(FEDDER_TERM_BUDGET)
     terms = prod(len(g.terms) for g in I.generators)
@@ -476,29 +468,31 @@ def _fedder_colons(I: IdealPresentation) -> Iterator[IdealPresentation]:
             f"Fedder module too large: the product of the generators to the p-1"
             f" may have over {FEDDER_TERM_BUDGET} terms"
         )
-    if len(I.generators) == 1:
-        (g,) = I.generators
-        p = ctx.p
-        inv = pow(_leading(g, GREVLEX)[1], p - 2, p)
-        yield IdealPresentation(ctx, (g.pow_p_minus_1().scale(inv),))
-        return
-    Ip = frobenius_power_ideal(I)
-    for g in I.generators:
-        yield colon(Ip, g)
 
 
 def fedder_module(I: IdealPresentation) -> IdealPresentation:
     """Coefficients of all twisted endomorphisms compatible with I.
 
     This is the colon ideal (I^[p] : I), the intersection of the colons
-    (I^[p] : g) over the generators g; for I = (g) it is (g^(p-1)), with
-    no colon computed.  The zero ideal maps to the zero ideal by
-    convention.  Raises ValueError, before anything is built, when the
-    module would be too large (``FEDDER_TERM_BUDGET``).
+    (I^[p] : g) over the generators g.  For I = (g) it is
+    (g^[p] : g) = (g^(p-1)), as R is a domain, with no colon computed:
+    generated by ``g.pow_p_minus_1()`` scaled as elimination would give
+    it, by the inverse of g's grevlex leading coefficient.  The zero
+    ideal maps to the zero ideal by convention.  Raises ValueError,
+    before anything is built, when the module would be too large
+    (``FEDDER_TERM_BUDGET``).
     """
     if I.is_zero_ideal():
         return I
-    return reduce(intersect, _fedder_colons(I))
+    _check_fedder_budget(I)
+    ctx = I.context
+    if len(I.generators) == 1:
+        (g,) = I.generators
+        p = ctx.p
+        inv = pow(_leading(g, GREVLEX)[1], p - 2, p)
+        return IdealPresentation(ctx, (g.pow_p_minus_1().scale(inv),))
+    Ip = frobenius_power_ideal(I)
+    return reduce(intersect, [colon(Ip, g) for g in I.generators])
 
 
 def is_compatible(
@@ -506,12 +500,14 @@ def is_compatible(
 ) -> bool:
     """Does sigma map the ideal I into itself?
 
-    method "fedder" tests membership of the coefficient in the colon
-    module (I^[p] : I), the intersection of the colons (I^[p] : g) over
-    the generators g, one colon at a time: it stops at the first colon
-    that does not contain the coefficient and never builds the
-    intersection.  A colon's generators serve as its Groebner basis, as
-    LM(a * g) = LM(a) * LM(g); for I = (g) the one colon is (g^(p-1)).
+    method "fedder" is Fedder's criterion in its plain form: the
+    coefficient c lies in (I^[p] : I) iff c * g lies in I^[p] for every
+    generator g.  It is membership of c * g in I^[p], one basis of I^[p]
+    by its own Buchberger run (a single g^p is its own basis) and one
+    normal form per generator, stopping at the first that does not
+    vanish; no colon is built.  That basis is never the Frobenius of
+    ``buchberger(I)``, which "finite" builds, so "both" compares two
+    independent computations.
     method "finite" checks, for every generator g, that every root h_b
     of coeff * g = sum_b x^b * h_b^p lies in I, with no colon computed.
     This is complete: sigma(I) lies in I iff every trace(x^a * coeff * g)
@@ -533,10 +529,13 @@ def is_compatible(
     if I.is_zero_ideal():
         return True
     if method == "fedder":
-        return all(
-            GroebnerBasis(I.context, GREVLEX, C.generators).contains(sigma.coeff)
-            for C in _fedder_colons(I)
-        )
+        _check_fedder_budget(I)
+        Ip = frobenius_power_ideal(I)
+        if len(Ip.generators) == 1:
+            G = GroebnerBasis(I.context, GREVLEX, Ip.generators)
+        else:
+            G = buchberger(Ip)
+        return all(G.contains(sigma.coeff * g) for g in I.generators)
     if method == "finite":
         G = buchberger(I)
         return all(

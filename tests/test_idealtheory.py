@@ -708,12 +708,12 @@ def test_lcm_and_s_polynomial_terms_that_leave_their_fields_are_caught():
         _s_terms(*reversed(divisors), lcm, 5, elim.guards)
 
 
-# -- Fedder's criterion one colon at a time -----------------------------------
+# -- Fedder's criterion by membership in I^[p] ---------------------------------
 
 
 def _fedder_by_intersection(sigma, I):
-    """The "fedder" verdict from the whole module (I^[p] : I), built and
-    reduced: the reference for testing one colon at a time."""
+    """The "fedder" verdict from the whole module (I^[p] : I), built by
+    elimination and reduced: the reference for the membership check."""
     return buchberger(fedder_module(I)).contains(sigma.coeff)
 
 
@@ -759,29 +759,40 @@ def test_principal_fedder_module_at_a_large_prime_is_quick():
     assert time.perf_counter() - start < 1.0
 
 
-def test_fedder_stops_at_the_first_colon_that_fails(monkeypatch):
+def test_fedder_stops_at_the_first_generator_that_fails(monkeypatch):
     import frobsplit.idealtheory as idealtheory
 
+    def built(*args):
+        raise AssertionError("the Fedder check built a colon")
+
+    for name in ("colon", "intersect", "exact_divide"):
+        monkeypatch.setattr(idealtheory, name, built)
+    engine = idealtheory.normal_form
     calls = []
 
-    def counted(J, g):
-        calls.append(g)
-        return colon(J, g)
+    def counted(f, G):
+        calls.append(f)
+        return engine(f, G)
 
-    monkeypatch.setattr(idealtheory, "colon", counted)
     ctx = ring(3, "x y")
     I = _ideal(ctx, "x", "y")
-    # (x^3, y^3) : x = (x^2, y^3) does not hold 1.
-    assert is_compatible(TwistedEndo(ctx.one()), I, "fedder") is False
-    assert len(calls) == 1
-    calls.clear()
-    assert is_compatible(TwistedEndo(parse_expr("(x*y)^(p-1)", ctx)), I, "fedder") is True
-    assert len(calls) == 2
+    xy2 = TwistedEndo(parse_expr("(x*y)^(p-1)", ctx))
+    with monkeypatch.context() as m:
+        m.setattr(idealtheory, "normal_form", counted)
+        m.setattr(Polynomial, "pow_p_minus_1", built)
+        # 1 * x is not in (x^3, y^3): the first normal form decides.
+        assert is_compatible(TwistedEndo(ctx.one()), I, "fedder") is False
+        assert len(calls) == 1
+        calls.clear()
+        # (xy)^2 * x and (xy)^2 * y both are.
+        assert is_compatible(xy2, I, "fedder") is True
+        assert len(calls) == 2
+        calls.clear()
+        # (xy)^2 * xy is in ((xy)^3), whose one generator is its own basis.
+        assert is_compatible(xy2, _ideal(ctx, "x*y"), "fedder") is True
+        assert len(calls) == 1
     # (g^[p] : g) = (g^(p-1)) needs no colon.
-    calls.clear()
-    assert is_compatible(TwistedEndo(parse_expr("(x*y)^(p-1)", ctx)), _ideal(ctx, "x*y"), "fedder")
     assert fedder_module(_ideal(ctx, "x*y+1")).generators
-    assert calls == []
 
 
 @pytest.mark.parametrize("method", ["fedder", "both"])
@@ -801,28 +812,86 @@ def test_large_prime_fedder_check_is_refused_before_any_colon(method, gens, monk
 
 @settings(max_examples=40, deadline=None)
 @given(st.data())
-def test_fedder_check_takes_no_roots_and_no_basis_over_the_ring(data):
+def test_fedder_check_takes_no_roots_and_no_basis_of_the_ideal(data):
     import frobsplit.idealtheory as idealtheory
 
     ctx = data.draw(contexts.filter(lambda c: c.p <= 5))
     I = data.draw(ideals(ctx, max_terms=2))
     sigma = TwistedEndo(data.draw(polys(ctx, max_exp=2 * ctx.p - 1, max_terms=3)))
     engine, roots = idealtheory.buchberger, idealtheory.frobenius_roots
+    bracket = frobenius_power_ideal(I).generators
+    inputs = []
 
-    def only_eliminations(J, order=MonomialOrder.grevlex()):
-        # Colons run Buchberger on the ring with the tag variable only.
-        assert J.context != ctx
+    def only_the_bracket_power(J, order=MonomialOrder.grevlex()):
+        # The basis of I^[p] comes from its own run, never from one of I,
+        # which the finite method builds.
+        inputs.append(J)
+        assert J.generators == bracket
         return engine(J, order)
 
     def no_roots(f):
         raise AssertionError("the Fedder check took p-th roots")
 
-    idealtheory.buchberger, idealtheory.frobenius_roots = only_eliminations, no_roots
+    idealtheory.buchberger, idealtheory.frobenius_roots = only_the_bracket_power, no_roots
     try:
         verdict = is_compatible(sigma, I, "fedder")
     finally:
         idealtheory.buchberger, idealtheory.frobenius_roots = engine, roots
+    # One generator g^p is its own basis: no run at all.
+    assert len(inputs) == (len(I.generators) > 1)
     assert verdict == is_compatible(sigma, I, "finite")
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_fedder_membership_matches_the_intersection_at_larger_primes(data):
+    ctx = data.draw(contexts)
+    I = data.draw(ideals(ctx, max_gens=3, max_exp=2, max_terms=2))
+    kinds = ["random", "first power", "product power", "bracket power"]
+    kind = data.draw(st.sampled_from(kinds))
+    if kind == "random":
+        section = data.draw(polys(ctx, max_exp=2 * ctx.p - 1, max_terms=3))
+    elif kind == "first power":
+        # c * g_1 lies in I^[p]; whether every c * g does is the question.
+        section = data.draw(polys(ctx, max_exp=1, max_terms=2)) * I.generators[0].pow_p_minus_1()
+    elif kind == "product power":
+        section = data.draw(polys(ctx, max_exp=1, max_terms=2)) * _product_power(I)
+    else:
+        section = ctx.zero()
+        for g in I.generators:
+            section = section + data.draw(polys(ctx, max_exp=1, max_terms=2)) * g.frobenius()
+    sigma = TwistedEndo(section)
+    verdict = is_compatible(sigma, I, "fedder")
+    assert verdict == _fedder_by_intersection(sigma, I)
+    if kind in ("product power", "bracket power"):
+        assert verdict is True
+
+
+def test_fedder_check_on_the_heaviest_colon_case(monkeypatch):
+    # The heaviest case of compat-fedder (seed 7, case #63) by colons,
+    # two eliminations; by membership it takes one Buchberger run on I^[p].
+    import frobsplit.idealtheory as idealtheory
+
+    ctx = ring(3, "a b c")
+    I = _ideal(ctx, "a*b*c + c^3 + 2*a^2 + 2*a*b", "a*b^2 + 2*a*b*c + 1")
+    sections = [ctx.one(), _product_power(I), parse_expr("a^2*b*c^2 + b^5 + 2", ctx)]
+    sections.append(parse_expr("a + c", ctx) * sections[1] + parse_expr("b*c", ctx))
+    engine = idealtheory.buchberger
+    calls = []
+
+    def counted(J, order=MonomialOrder.grevlex()):
+        calls.append(J)
+        return engine(J, order)
+
+    for section in sections:
+        sigma = TwistedEndo(section)
+        is_compatible(sigma, I, "both")
+        with monkeypatch.context() as m:
+            m.setattr(idealtheory, "buchberger", counted)
+            is_compatible(sigma, I, "fedder")
+        assert len(calls) == 1
+        calls.clear()
+    assert is_compatible(TwistedEndo(sections[1]), I, "fedder") is True
 
 
 @settings(max_examples=60, deadline=None)
