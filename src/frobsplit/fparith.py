@@ -14,15 +14,19 @@ whichever is estimated cheaper, and the division engine
 (``divide_terms``) that both exact division here and Groebner reduction
 in ``idealtheory`` run on.
 
-The division engine works on packed keys (``Packing``): a monomial
-order's fields, each an exponent sum or its negation, side by side in
-one int with a guard bit above each, so that ascending ints are
-descending monomials.  The key is affine in the exponents, so a
+The division engine and powers f^k work on packed keys (``Packing``):
+a monomial order's fields, each an exponent sum or its negation, side
+by side in one int with a guard bit above each, so that ascending ints
+are descending monomials.  The key is affine in the exponents, so a
 multiple of a term is one int addition, and divisibility is one
 subtraction and mask on the guard bits (Monagan and Pearce, CASC 2007;
 J. Symb. Comp. 46, 2011).  A new term whose guard bit is set has left its
 field; ``PackingOverflow`` is raised and ``packed_call`` reruns the
-computation at double width, so no field ever wraps.
+computation at double width, so no field ever wraps.  A power packs f
+once at the width of f^k, where no field can overflow, squares and
+multiplies on int keys, and unpacks once.  ``Polynomial.__mul__`` stays
+on exponent tuples: a single product would pay for packing and
+unpacking both operands.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from math import exp, inf, log, log1p
-from operator import add, mul
+from operator import add, itemgetter, mul
 from typing import Callable, Iterator, Mapping, Sequence, TypeVar
 
 Monomial = tuple[int, ...]
@@ -372,16 +376,32 @@ class Polynomial:
         return Polynomial._raw(self.context, {m: (a * c) % p for m, a in self.terms.items()})
 
     def __pow__(self, k: int) -> "Polynomial":
+        """f^k by square-and-multiply on packed keys.
+
+        f is packed once at the width that holds every field of f^k, so
+        no field of any f^j with j <= k can overflow, and the result is
+        unpacked once.  A one-term f is raised directly.
+        """
         if k < 0:
             raise ValueError("negative power of a polynomial")
+        if k == 0:
+            return self.context.one()
+        if k == 1 or not self.terms:
+            return self
+        p = self.context.p
+        if len(self.terms) == 1:
+            ((m, c),) = self.terms.items()
+            return Polynomial._raw(self.context, {tuple(e * k for e in m): pow(c, k, p)})
+        pk = packing(grevlex_layout(self.context.arity), fit_bits(k * degree(self.terms)))
+        power = pk.pack_terms(self.terms)
         result = None
-        base = self
-        while k:
+        while True:
             if k & 1:
-                result = base if result is None else result * base
-            base = base * base if k > 1 else base
+                result = power if result is None else _packed_product(result, power, pk.base, p)
             k >>= 1
-        return self.context.one() if result is None else result
+            if not k:
+                return Polynomial._raw(self.context, pk.unpack_terms(result))
+            power = _packed_product(power, power, pk.base, p)
 
     def derivative(self, var: int) -> "Polynomial":
         """The partial derivative in the variable of index ``var``, mod p.
@@ -408,26 +428,41 @@ class Polynomial:
         return Polynomial._raw(self.context, {tuple(e * p for e in m): c for m, c in self.terms.items()})
 
     def pow_p_minus_1(self) -> "Polynomial":
-        """f^(p-1), by whichever of two routes is estimated to cost less.
+        """f^(p-1), by whichever of two routes is estimated to cost less
+        (``pow_p_minus_1_cost``).
 
         Dividing the free Frobenius power f^p exactly by f costs about
         |f^(p-1)| * |f| term updates; square-and-multiply (``__pow__``)
-        costs the term products of its multiplications.  Both are estimated
-        from the bounds of ``log_power_terms``.  Division wins for a sparse
-        f at a large p: for xy + x + 1 at p = 101 it is 5151 * 3 updates
-        against 1.86 million products.  Squaring
-        wins for a dense f at a small p: for the 4x4 nested-minor product
-        at p = 3 it is 1379^2 products against 61824 * 1379 updates, and
-        at p = 2 it costs nothing.  Raises ZeroDivisionError for f = 0.
+        costs the term products of its multiplications.  Division wins for
+        a sparse f at a large p: for xy + x + 1 at p = 101 it is 5151 * 3
+        updates against 1.86 million products.  Squaring wins for a dense f
+        at a small p: for the 4x4 nested-minor product at p = 3 it is
+        1379^2 products against 61824 * 1379 updates, about 0.8 s against
+        41 s, and at p = 2 it costs nothing.  Raises ZeroDivisionError for
+        f = 0.
+        """
+        if self.pow_p_minus_1_cost()[1]:
+            return exact_divide(self.frobenius(), self)
+        return self ** (self.context.p - 1)
+
+    def pow_p_minus_1_cost(self) -> tuple[float, bool]:
+        """The log of the estimated cost of ``pow_p_minus_1`` on this f, and
+        whether the route it picks divides.
+
+        Both routes are estimated from the bounds of ``log_power_terms``:
+        division in term updates, squaring in term products
+        (``log_power_products``).  The cost is that of the cheaper route.
+        Raises ZeroDivisionError for f = 0.
         """
         if self.is_zero():
             raise ZeroDivisionError("f^(p-1) is undefined for f = 0")
         k = self.context.p - 1
         shape = (len(self.terms), self.context.arity, self.total_degree())
         log_division = log(shape[0]) + log_power_terms(*shape, k, inf)
-        if log_power_products(*shape, k, log_division) > log_division:
-            return exact_divide(self.frobenius(), self)
-        return self ** k
+        log_squaring = log_power_products(*shape, k, log_division)
+        if log_squaring > log_division:
+            return log_division, True
+        return log_squaring, False
 
     # -- comparison and rendering ----------------------------------------
 
@@ -576,6 +611,21 @@ def packed_call(pk: Packing, run: Callable[[Packing], T]) -> T:
             pk = pk.wider()
 
 
+def _packed_product(a: Mapping[int, int], b: Mapping[int, int], base: int, p: int) -> dict[int, int]:
+    """The product of two packed polynomials, whose width must hold every
+    field of the product.  Coefficients are summed unreduced and reduced
+    mod p once per output key."""
+    out: dict[int, int] = {}
+    get = out.get
+    terms = tuple(b.items())
+    for ka, ca in a.items():
+        shift = ka - base
+        for kb, cb in terms:
+            key = kb + shift
+            out[key] = get(key, 0) + ca * cb
+    return {key: r for key, c in out.items() if (r := c % p)}
+
+
 def degree(terms: Mapping[Monomial, int]) -> int:
     """The total degree of nonempty terms, as ``fit_bits`` takes it."""
     return max(map(sum, terms))
@@ -711,7 +761,7 @@ def log_power_products(terms: int, arity: int, degree: int, k: int, cap: float) 
         return log_power_terms(terms, arity, degree, j, cap)
 
     total = -inf
-    low, high = 0, 1  # result = f^low and base = f^high, as in __pow__
+    low, high = 0, 1  # result = f^low and power = f^high, as in __pow__
     while k and total <= cap:
         if k & 1:
             if low:
@@ -740,15 +790,21 @@ def embed(f: Polynomial, target: RingContext, positions: Sequence[int]) -> Polyn
     """Reinterpret f in a larger ring, sending variable i to ``positions[i]``."""
     if f.context.prime != target.prime:
         raise ContextMismatchError("embedding must preserve the prime")
-    if len(positions) != f.context.arity or len(set(positions)) != len(positions):
+    if (
+        len(positions) != f.context.arity
+        or len(set(positions)) != len(positions)
+        or not all(0 <= j < target.arity for j in positions)
+    ):
         raise ValueError("positions must list one distinct target slot per variable")
-    out: dict[Monomial, int] = {}
-    for m, c in f.terms.items():
-        exps = [0] * target.arity
-        for i, e in enumerate(m):
-            exps[positions[i]] = e
-        out[tuple(exps)] = c
-    return Polynomial._raw(target, out)
+    if target.arity == 1:
+        # positions is [0]; a one-index itemgetter would return no tuple.
+        return Polynomial._raw(target, dict(f.terms))
+    # Target slot j reads m[source[j]]; index len(m) is the 0 appended to m.
+    source = [len(positions)] * target.arity
+    for i, j in enumerate(positions):
+        source[j] = i
+    pick = itemgetter(*source)
+    return Polynomial._raw(target, {pick(m + (0,)): c for m, c in f.terms.items()})
 
 
 def compose(f: Polynomial, args: Sequence[Polynomial]) -> Polynomial:

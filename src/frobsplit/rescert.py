@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import nsmallest
+from itertools import combinations, permutations
+from math import log
 
 from .fparith import (
     Coefficient,
@@ -136,26 +138,23 @@ def matrix_context(n: int, p: int) -> RingContext:
     return ring(p, names)
 
 
-def _entry(ctx: RingContext, n: int, i: int, j: int) -> Polynomial:
-    return ctx.variable(i * n + j)
-
-
-def _det(ctx: RingContext, n: int, rows: list[int], cols: list[int]) -> Polynomial:
-    """Determinant of the submatrix, by cofactor expansion on the first row."""
-    if len(rows) == 1:
-        return _entry(ctx, n, rows[0], cols[0])
-    total = ctx.zero()
-    for k, col in enumerate(cols):
-        minor = _det(ctx, n, rows[1:], cols[:k] + cols[k + 1 :])
-        piece = _entry(ctx, n, rows[0], col) * minor
-        total = total + (piece if k % 2 == 0 else -piece)
-    return total
-
-
 def minor(ctx: RingContext, n: int, rows: list[int], cols: list[int]) -> Polynomial:
+    """Determinant of the submatrix on ``rows`` and ``cols``, by the
+    Leibniz formula: the sum over permutations s of sign(s) times the
+    product of the entries x_(rows[i], cols[s(i)]), each term written
+    directly, with no multiplication.  With distinct rows and columns,
+    distinct permutations give distinct monomials; repeated ones cancel."""
     if len(rows) != len(cols) or not rows:
         raise ValueError("need equally many rows and columns")
-    return _det(ctx, n, rows, cols)
+    p = ctx.p
+    terms: dict[Monomial, int] = {}
+    for perm in permutations(range(len(cols))):
+        exps = [0] * ctx.arity
+        for row, s in zip(rows, perm):
+            exps[row * n + cols[s]] += 1
+        m = tuple(exps)
+        terms[m] = terms.get(m, 0) + (-1) ** sum(a > b for a, b in combinations(perm, 2))
+    return Polynomial._raw(ctx, {m: r for m, c in terms.items() if (r := c % p)})
 
 
 def matrix_factors(ctx: RingContext, n: int) -> list[Polynomial]:
@@ -178,9 +177,11 @@ def matrix_factors(ctx: RingContext, n: int) -> list[Polynomial]:
 
 
 MATRIX_PRODUCT_BUDGET = 3 * 10**6
-"""Term products allowed in one multiplication of the nested minors: about
-5 s.  The 5x5 steps take at most 1.6 million (767,136 at p = 2), the
-6x6 ones reach 5.8 million by the sixth minor."""
+"""Term products allowed in one multiplication of the nested minors, and
+estimated for their product's f^(p-1): a few seconds.  The 5x5 steps take
+at most 1.6 million (767,136 at p = 2), the 6x6 ones reach 5.8 million by
+the sixth minor.  The 4x4 f^(p-1) at p = 3 is 1379^2 = 1.9 million
+products; the 5x5 one at p = 3 is far over."""
 
 
 def matrix_section_coefficient(ctx: RingContext, n: int) -> Polynomial:
@@ -188,7 +189,9 @@ def matrix_section_coefficient(ctx: RingContext, n: int) -> Polynomial:
 
     Raises ValueError before a multiplication of the product so far by the
     next minor would take more than ``MATRIX_PRODUCT_BUDGET`` term
-    products, as for n = 6.
+    products, as for n = 6, and before f^(p-1) when the route
+    ``pow_p_minus_1`` picks is estimated to take more
+    (``Polynomial.pow_p_minus_1_cost``), as for n = 5 at p = 3.
     """
     product = ctx.one()
     for f in matrix_factors(ctx, n):
@@ -199,6 +202,11 @@ def matrix_section_coefficient(ctx: RingContext, n: int) -> Polynomial:
                 f" term products, over {MATRIX_PRODUCT_BUDGET}"
             )
         product = product * f
+    if product.pow_p_minus_1_cost()[0] > log(MATRIX_PRODUCT_BUDGET):
+        raise ValueError(
+            f"matrix too large: raising the product of its nested minors to the"
+            f" p-1 takes over {MATRIX_PRODUCT_BUDGET} estimated term products"
+        )
     return product.pow_p_minus_1()
 
 

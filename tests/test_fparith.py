@@ -6,7 +6,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frobsplit import (
@@ -224,10 +224,33 @@ def test_pow_p_minus_1_squares_dense_f_at_small_p(monkeypatch):
     assert f.pow_p_minus_1() == f * f
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5, 7, 13]),
+    terms=st.dictionaries(
+        st.tuples(st.integers(0, 9), st.integers(0, 9)), st.integers(1, 12), max_size=3
+    ),
+    k=st.integers(0, 40),
+)
+@example(p=7, terms={(2, 1): 3}, k=5)
+@example(p=3, terms={}, k=0)
+@example(p=3, terms={}, k=4)
+# Degree 9 times k = 30 is 270, over 255: the fields are 16 bits wide.
+@example(p=13, terms={(9, 0): 2, (0, 1): 1, (0, 0): 5}, k=30)
+def test_pow_matches_a_multiplication_loop(p, terms, k):
+    ctx = ring(p, "x y")
+    f = Polynomial(ctx, terms)
+    expected = ctx.one()
+    for _ in range(k):
+        expected = expected * f
+    assert f**k == expected
+
+
 @pytest.mark.parametrize("k", [0, 1, 2, 3, 6, 7, 12, 100])
 def test_log_power_products_counts_pow_multiplications(k):
     # A monomial's powers have one term, so the estimate is the number of
-    # multiplications __pow__ makes: its squarings and its other products.
+    # multiplications square-and-multiply makes: its squarings and its
+    # other products.
     multiplications = max(k.bit_length() - 1, 0) + max(bin(k).count("1") - 1, 0)
     assert math.exp(log_power_products(1, 1, 1, k, math.inf)) == pytest.approx(multiplications)
 
@@ -341,6 +364,12 @@ def test_embed():
     assert embed(f, dst, [1, 2]) == dst.monomial((0, 1, 2), 2)
     with pytest.raises(ValueError):
         embed(f, dst, [1, 1])
+    with pytest.raises(ValueError):
+        embed(f, dst, [1, 3])
+    line = ring(3, "t")
+    g = line.monomial((4,), 2) + line.one()
+    assert embed(g, ring(3, "s"), [0]) == parse_expr("2*s^4 + 1", ring(3, "s"))
+    assert embed(g, dst, [2]) == parse_expr("2*y^4 + 1", dst)
 
 
 def test_compose():

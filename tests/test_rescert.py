@@ -1,6 +1,5 @@
 """Residue steps, chains, and the nested-minor matrix sections."""
 
-import itertools
 import random
 
 import pytest
@@ -35,16 +34,15 @@ from _util import contexts, polys, rand_poly
 
 
 def _det_oracle(ctx, n, rows, cols):
-    """Permutation-sum determinant, independent of the cofactor expansion."""
+    """Cofactor expansion along the first row, independent of the Leibniz
+    sum that ``minor`` writes out."""
+    if len(rows) == 1:
+        return ctx.variable(rows[0] * n + cols[0])
     total = ctx.zero()
-    for perm in itertools.permutations(range(len(rows))):
-        inversions = sum(
-            1 for i in range(len(perm)) for j in range(i + 1, len(perm)) if perm[i] > perm[j]
-        )
-        prod = ctx.one()
-        for i, pi in enumerate(perm):
-            prod = prod * ctx.variable(rows[i] * n + cols[pi])
-        total = total + (prod if inversions % 2 == 0 else -prod)
+    for k, col in enumerate(cols):
+        rest = _det_oracle(ctx, n, rows[1:], cols[:k] + cols[k + 1 :])
+        piece = ctx.variable(rows[0] * n + col) * rest
+        total = total + (piece if k % 2 == 0 else -piece)
     return total
 
 
@@ -151,6 +149,22 @@ def test_matrix_factors_3x3_against_oracle():
     assert fs[2] == _det_oracle(ctx, 3, [0, 1, 2], [0, 1, 2])
     assert fs[3] == _det_oracle(ctx, 3, [1, 2], [1, 2])
     assert fs[4] == ctx.variable("x33")
+
+
+@pytest.mark.parametrize(
+    "rows, cols",
+    [
+        ([0, 1, 2, 3], [0, 1, 2, 3]),
+        ([3, 1, 2, 0], [0, 2, 1, 3]),
+        ([2, 0, 3], [1, 3, 0]),
+        ([0, 0], [1, 2]),
+        ([1, 1], [2, 2]),
+    ],
+)
+@pytest.mark.parametrize("p", [2, 3])
+def test_minor_matches_cofactor_expansion(p, rows, cols):
+    ctx = matrix_context(4, p)
+    assert minor(ctx, 4, rows, cols) == _det_oracle(ctx, 4, rows, cols)
 
 
 @pytest.mark.parametrize("p", [2, 3])

@@ -1,13 +1,19 @@
 """Twisted endomorphisms, splitting verdicts, localization, P1, semigroups."""
 
 import itertools
+import os
 import random
+import resource
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import frobsplit
 from frobsplit import (
     ContextMismatchError,
     Polynomial,
@@ -387,6 +393,40 @@ def test_matrix_product_budget_is_the_largest_step(monkeypatch):
     monkeypatch.setattr(rescert, "MATRIX_PRODUCT_BUDGET", 1323)
     with pytest.raises(ValueError, match="takes 1324 term products"):
         matrix_section_coefficient(ctx, 4)
+
+
+def test_matrix_product_budget_covers_the_section_power(monkeypatch):
+    # The 3x3 nested-minor product at p = 5 has 20 terms; squaring it to the
+    # 4th is estimated at 20^2 + 210^2 = 44,500 term products.
+    ctx = matrix_context(3, 5)
+    monkeypatch.setattr(rescert, "MATRIX_PRODUCT_BUDGET", 44_600)
+    assert not matrix_section_coefficient(ctx, 3).is_zero()
+    monkeypatch.setattr(rescert, "MATRIX_PRODUCT_BUDGET", 44_400)
+    with pytest.raises(ValueError, match="to the p-1 takes over 44400 estimated"):
+        matrix_section_coefficient(ctx, 3)
+
+
+def test_matrix_demo_section_power_over_budget_is_refused():
+    # f^(p-1) of the 1,003,156-term 5x5 product ended in a MemoryError
+    # traceback under a 2 GB limit.  It is refused once the product is
+    # built, which takes about 10 s; a subprocess keeps the limit off the
+    # test run.
+    src = str(Path(frobsplit.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    script = "import sys; from frobsplit.cli import main; sys.exit(main(sys.argv[1:]))"
+    limit = 2 * 10**9
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "matrix-demo", "--size", "5", "-p", "3"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: matrix too large: raising the product")
+    assert proc.stderr.count("\n") == 1
 
 
 def test_matrix_demo_over_budget_is_refused_at_once(capsys):
