@@ -20,13 +20,15 @@ by side in one int with a guard bit above each, so that ascending ints
 are descending monomials.  The key is affine in the exponents, so a
 multiple of a term is one int addition, and divisibility is one
 subtraction and mask on the guard bits (Monagan and Pearce, CASC 2007;
-J. Symb. Comp. 46, 2011).  A new term whose guard bit is set has left its
-field; ``PackingOverflow`` is raised and ``packed_call`` reruns the
-computation at double width, so no field ever wraps.  A power packs f
-once at the width of f^k, where no field can overflow, squares and
-multiplies on int keys, and unpacks once.  ``Polynomial.__mul__`` stays
-on exponent tuples: a single product would pay for packing and
-unpacking both operands.
+J. Symb. Comp. 46, 2011).  A field and its guard bit fill 1, 2, 4 or 8
+bytes, so a key is unpacked by one ``struct`` call.  A new term whose
+guard bit is set has left its field; ``PackingOverflow`` is raised and
+``packed_call`` reruns the computation at the next width, so no field
+ever wraps.  A power packs f once at the width of f^k, where no field can
+overflow, squares and multiplies on int keys (``packed_product``), and
+unpacks once; a chain of products, such as ``rescert``'s nested minors,
+can do the same.  ``Polynomial.__mul__`` stays on exponent tuples: a
+single product would pay for packing and unpacking both operands.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from math import exp, inf, log, log1p
 from operator import add, itemgetter, mul
+from struct import Struct
 from typing import Callable, Iterator, Mapping, Sequence, TypeVar
 
 Monomial = tuple[int, ...]
@@ -354,9 +357,17 @@ class Polynomial:
             return NotImplemented
         self._check(other)
         p = self.context.p
+        a, b = self.terms, other.terms
+        if len(b) == 1:
+            a, b = b, a
+        if len(a) == 1:
+            # A term times f shifts f's exponents: no two products meet.
+            ((m, c),) = a.items()
+            out = {tuple(map(add, m, mb)): c * cb % p for mb, cb in b.items()}
+            return Polynomial._raw(self.context, out)
         out: dict[Monomial, int] = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
+        for ma, ca in a.items():
+            for mb, cb in b.items():
                 m = tuple(map(add, ma, mb))
                 s = (out.get(m, 0) + ca * cb) % p
                 if s:
@@ -380,7 +391,8 @@ class Polynomial:
 
         f is packed once at the width that holds every field of f^k, so
         no field of any f^j with j <= k can overflow, and the result is
-        unpacked once.  A one-term f is raised directly.
+        unpacked once.  A squaring takes each pair of terms once
+        (``_packed_square``).  A one-term f is raised directly.
         """
         if k < 0:
             raise ValueError("negative power of a polynomial")
@@ -397,11 +409,11 @@ class Polynomial:
         result = None
         while True:
             if k & 1:
-                result = power if result is None else _packed_product(result, power, pk.base, p)
+                result = power if result is None else packed_product(result, power, pk.base, p)
             k >>= 1
             if not k:
                 return Polynomial._raw(self.context, pk.unpack_terms(result))
-            power = _packed_product(power, power, pk.base, p)
+            power = _packed_square(power, pk.base, p)
 
     def derivative(self, var: int) -> "Polynomial":
         """The partial derivative in the variable of index ``var``, mod p.
@@ -437,7 +449,7 @@ class Polynomial:
         a sparse f at a large p: for xy + x + 1 at p = 101 it is 5151 * 3
         updates against 1.86 million products.  Squaring wins for a dense f
         at a small p: for the 4x4 nested-minor product at p = 3 it is
-        1379^2 products against 61824 * 1379 updates, about 0.8 s against
+        1379^2 products against 61824 * 1379 updates, about 0.5 s against
         41 s, and at p = 2 it costs nothing.  Raises ZeroDivisionError for
         f = 0.
         """
@@ -451,12 +463,14 @@ class Polynomial:
 
         Both routes are estimated from the bounds of ``log_power_terms``:
         division in term updates, squaring in term products
-        (``log_power_products``).  The cost is that of the cheaper route.
-        Raises ZeroDivisionError for f = 0.
+        (``log_power_products``).  The cost is that of the cheaper route;
+        at p = 2 it is nothing.  Raises ZeroDivisionError for f = 0.
         """
         if self.is_zero():
             raise ZeroDivisionError("f^(p-1) is undefined for f = 0")
         k = self.context.p - 1
+        if k == 1:
+            return -inf, False  # f^1 is f
         shape = (len(self.terms), self.context.arity, self.total_degree())
         log_division = log(shape[0]) + log_power_terms(*shape, k, inf)
         log_squaring = log_power_products(*shape, k, log_division)
@@ -535,9 +549,16 @@ class Packing:
     ``key ^ base`` is the positive form, every field a plain exponent sum,
     in which x^a divides x^b iff ((pos(b) | guards) - pos(a)) & guards
     == guards (no field borrows).
+
+    At the widths ``fit_bits`` picks, 7, 15, 31 or 63 bits, a field and
+    its guard bit fill 1, 2, 4 or 8 bytes, so the positive form's
+    little-endian bytes are the fields themselves, and one ``struct``
+    unpack reads every variable's field of a key at once.  Wider fields,
+    and widths that are not whole bytes, are read one shift and mask at a
+    time.
     """
 
-    __slots__ = ("layout", "bits", "mask", "weights", "base", "guards", "shifts")
+    __slots__ = ("layout", "bits", "mask", "weights", "base", "guards", "shifts", "_nbytes", "_struct", "_pick")
 
     def __init__(self, layout: Layout, bits: int):
         width = bits + 1
@@ -561,28 +582,46 @@ class Packing:
         self.base = base
         self.guards = guards
         self.shifts = tuple(shifts)
+        self._nbytes = len(layout) * width // 8
+        self._struct = self._pick = None
+        code = {8: "B", 16: "H", 32: "I", 64: "Q"}.get(width)
+        if code:
+            # The fields least significant first, a variable's as an
+            # integer and the others as pad bytes.
+            fields = [f"{width // 8}x"] * len(layout)
+            for pos in shifts:
+                fields[pos // width] = code
+            self._struct = Struct("<" + "".join(fields))
+            # Variable i comes out at the rank of its field.
+            ranks = [sorted(shifts).index(pos) for pos in shifts]
+            if ranks != list(range(arity)):
+                self._pick = itemgetter(*ranks)
 
     def wider(self) -> "Packing":
-        return packing(self.layout, 2 * self.bits)
+        return packing(self.layout, 2 * self.bits + 1)
 
     def pack(self, m: Monomial) -> int:
         """The key of m; m must fit (``fit_bits``)."""
         return sum(map(mul, m, self.weights), self.base)
 
     def unpack(self, key: int) -> Monomial:
-        pos, mask = key ^ self.base, self.mask
-        return tuple([(pos >> s) & mask for s in self.shifts])
+        if self._struct is None:
+            pos, mask = key ^ self.base, self.mask
+            return tuple([(pos >> s) & mask for s in self.shifts])
+        m = self._struct.unpack((key ^ self.base).to_bytes(self._nbytes, "little"))
+        return m if self._pick is None else self._pick(m)
 
     def pack_terms(self, terms: Mapping[Monomial, int]) -> dict[int, int]:
         weights, base = self.weights, self.base
         return {sum(map(mul, m, weights), base): c for m, c in terms.items()}
 
     def unpack_terms(self, terms: Mapping[int, int]) -> dict[Monomial, int]:
+        if self._struct is None or self._pick is not None:
+            unpack = self.unpack
+            return {unpack(k): c for k, c in terms.items()}
         # ``unpack`` written out: this runs once per term of every result.
-        base, mask, shifts = self.base, self.mask, self.shifts
-        return {
-            tuple([((k ^ base) >> s) & mask for s in shifts]): c for k, c in terms.items()
-        }
+        unpack, base, size = self._struct.unpack, self.base, self._nbytes
+        return {unpack((k ^ base).to_bytes(size, "little")): c for k, c in terms.items()}
 
 
 @lru_cache(maxsize=None)
@@ -590,20 +629,23 @@ def packing(layout: Layout, bits: int) -> Packing:
     return Packing(layout, bits)
 
 
-_START_BITS = 8
+_START_BITS = 7
 
 
 def fit_bits(degree: int) -> int:
-    """The narrowest field width, 8 bits doubled as often as needed, that
-    holds every exponent sum of a monomial of total degree ``degree``."""
+    """The narrowest field width of 7, 15, 31, 63, ... bits, each twice the
+    last plus one, that holds every exponent sum of a monomial of total
+    degree ``degree``.  With its guard bit such a field fills 1, 2, 4, 8,
+    ... bytes, which ``Packing`` decodes in one call up to 8."""
     bits = _START_BITS
     while degree >> bits:
-        bits *= 2
+        bits = 2 * bits + 1
     return bits
 
 
 def packed_call(pk: Packing, run: Callable[[Packing], T]) -> T:
-    """``run`` on ``pk``, rerun at double width each time a field overflows."""
+    """``run`` on ``pk``, rerun at the next width (``Packing.wider``) each
+    time a field overflows."""
     while True:
         try:
             return run(pk)
@@ -611,10 +653,17 @@ def packed_call(pk: Packing, run: Callable[[Packing], T]) -> T:
             pk = pk.wider()
 
 
-def _packed_product(a: Mapping[int, int], b: Mapping[int, int], base: int, p: int) -> dict[int, int]:
+def packed_product(a: Mapping[int, int], b: Mapping[int, int], base: int, p: int) -> dict[int, int]:
     """The product of two packed polynomials, whose width must hold every
     field of the product.  Coefficients are summed unreduced and reduced
-    mod p once per output key."""
+    mod p once per output key.  The outer loop runs over the shorter
+    operand, and a one-term operand only shifts the other's keys."""
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) == 1:
+        ((ka, ca),) = a.items()
+        shift = ka - base
+        return {kb + shift: r for kb, cb in b.items() if (r := ca * cb % p)}
     out: dict[int, int] = {}
     get = out.get
     terms = tuple(b.items())
@@ -623,6 +672,24 @@ def _packed_product(a: Mapping[int, int], b: Mapping[int, int], base: int, p: in
         for kb, cb in terms:
             key = kb + shift
             out[key] = get(key, 0) + ca * cb
+    return {key: r for key, c in out.items() if (r := c % p)}
+
+
+def _packed_square(a: Mapping[int, int], base: int, p: int) -> dict[int, int]:
+    """``packed_product(a, a, base, p)`` in T(T+1)/2 term products for T
+    terms, not T^2: each square term once and each cross term once,
+    doubled."""
+    out: dict[int, int] = {}
+    get = out.get
+    terms = tuple(a.items())
+    for i, (ka, ca) in enumerate(terms):
+        shift = ka - base
+        key = ka + shift
+        out[key] = get(key, 0) + ca * ca
+        twice = 2 * ca
+        for kb, cb in terms[i + 1 :]:
+            key = kb + shift
+            out[key] = get(key, 0) + twice * cb
     return {key: r for key, c in out.items() if (r := c % p)}
 
 
@@ -755,7 +822,10 @@ def log_power_products(terms: int, arity: int, degree: int, k: int, cap: float) 
     """The log of the estimated term products ``Polynomial.__pow__`` spends
     on f^k, for f as in ``log_power_terms``, or a value above ``cap`` once
     the estimate exceeds ``cap``.  A multiplication costs the product of
-    its operands' ``log_power_terms`` bounds; f^0 and f^1 cost nothing."""
+    its operands' ``log_power_terms`` bounds; f^0 and f^1 cost nothing.
+    A squaring is counted at T^2 for T terms, although ``_packed_square``
+    takes T(T+1)/2: the estimate stays an upper bound, and the route
+    choices and refusals built on it stay where they were."""
 
     def log_terms(j: int) -> float:
         return log_power_terms(terms, arity, degree, j, cap)

@@ -271,8 +271,8 @@ def buchberger(I: IdealPresentation, order: MonomialOrder = GREVLEX) -> Groebner
     All of this runs on packed keys (``fparith.Packing``): elements,
     S-polynomials and pair lcms are ints, divisibility is a guard-bit
     test, and the terms are unpacked to exponent tuples only for the
-    result.  A field that overflows reruns the whole computation at
-    double width.
+    result.  A field that overflows reruns the whole computation at the
+    next width.
     """
     ctx = I.context
     if I.is_zero_ideal():

@@ -22,7 +22,11 @@ from .fparith import (
     NotDivisibleError,
     Polynomial,
     RingContext,
+    fit_bits,
     grevlex_desc_key,
+    grevlex_layout,
+    packed_product,
+    packing,
     ring,
     term_str,
 )
@@ -187,21 +191,27 @@ products; the 5x5 one at p = 3 is far over."""
 def matrix_section_coefficient(ctx: RingContext, n: int) -> Polynomial:
     """Product of the nested principal minors, to the (p-1)-st power.
 
+    The minors are multiplied on packed keys (``fparith.Packing``) at the
+    width of their summed degrees, n^2, where no field can overflow, and
+    the product is unpacked once.
+
     Raises ValueError before a multiplication of the product so far by the
     next minor would take more than ``MATRIX_PRODUCT_BUDGET`` term
     products, as for n = 6, and before f^(p-1) when the route
     ``pow_p_minus_1`` picks is estimated to take more
     (``Polynomial.pow_p_minus_1_cost``), as for n = 5 at p = 3.
     """
-    product = ctx.one()
+    pk = packing(grevlex_layout(ctx.arity), fit_bits(n * n))
+    packed = {pk.base: 1}
     for f in matrix_factors(ctx, n):
-        products = len(product.terms) * len(f.terms)
+        products = len(packed) * len(f.terms)
         if products > MATRIX_PRODUCT_BUDGET:
             raise ValueError(
                 f"matrix too large: multiplying its nested minors takes {products}"
                 f" term products, over {MATRIX_PRODUCT_BUDGET}"
             )
-        product = product * f
+        packed = packed_product(packed, pk.pack_terms(f.terms), pk.base, ctx.p)
+    product = Polynomial._raw(ctx, pk.unpack_terms(packed))
     if product.pow_p_minus_1_cost()[0] > log(MATRIX_PRODUCT_BUDGET):
         raise ValueError(
             f"matrix too large: raising the product of its nested minors to the"

@@ -255,6 +255,45 @@ def test_log_power_products_counts_pow_multiplications(k):
     assert math.exp(log_power_products(1, 1, 1, k, math.inf)) == pytest.approx(multiplications)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_one_term_products_match_dict_arithmetic(data):
+    ctx = data.draw(contexts)
+    term = data.draw(polys(ctx, max_exp=4, max_terms=1, nonzero=True))
+    f = data.draw(polys(ctx, max_exp=3, max_terms=6))
+    expected = schoolbook_mul(term.terms, f.terms, ctx.p)
+    assert (term * f).terms == expected
+    assert (f * term).terms == expected
+
+
+def test_pow_p_minus_1_at_p_2_is_f_without_an_estimate(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("f^(p-1) estimated at p = 2")
+
+    monkeypatch.setattr(fparith, "log_power_terms", refuse)
+    ctx = ring(2, "x y z")
+    f = parse_expr("x*y + y*z^3 + x + 1", ctx)
+    assert f.pow_p_minus_1_cost() == (-math.inf, False)
+    assert f.pow_p_minus_1() is f
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5, 7]),
+    terms=st.dictionaries(
+        st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5)), st.integers(1, 40), max_size=12
+    ),
+)
+def test_packed_square_matches_packed_product(p, terms):
+    # Coefficients up to 40, left unreduced mod p, so the kernels reduce
+    # their sums of products.
+    pk = fparith.packing(fparith.grevlex_layout(3), fparith.fit_bits(30))
+    a = pk.pack_terms(terms)
+    square = fparith._packed_square(a, pk.base, p)
+    assert square == fparith.packed_product(a, a, pk.base, p)
+    assert pk.unpack_terms(square) == schoolbook_mul(terms, terms, p)
+
+
 def test_pow_p_minus_1_zero_raises():
     with pytest.raises(ZeroDivisionError):
         ring(3, "x").zero().pow_p_minus_1()

@@ -522,6 +522,31 @@ def test_packed_keys_sort_descending(data):
             assert pk.unpack(pk.pack(m)) == m
 
 
+def _assert_round_trip(n: int, bits: int, terms: dict) -> None:
+    for order in _orders(n):
+        pk = packing(order.layout(n), bits)
+        assert pk.unpack_terms(pk.pack_terms(terms)) == terms
+        for m in terms:
+            assert pk.unpack(pk.pack(m)) == m
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from([7, 15, 31, 63]))
+def test_packed_keys_round_trip_at_every_byte_width(data, bits):
+    # Fields of 7, 15, 31 and 63 bits fill 1, 2, 4 and 8 bytes.
+    n = data.draw(st.integers(1, 4))
+    exponent = st.integers(0, 2**bits // n - 1)
+    terms = data.draw(st.dictionaries(st.tuples(*[exponent] * n), st.integers(1, 4), max_size=8))
+    _assert_round_trip(n, bits, terms)
+
+
+def test_packed_keys_round_trip_past_eight_bytes():
+    # 2^70 needs 127-bit fields, which are read one shift at a time.
+    terms = {(2**70, 0, 1): 1, (0, 5, 2**70 - 1): 2, (1, 1, 1): 3}
+    assert fit_bits(2**70 + 1) == 127
+    _assert_round_trip(3, 127, terms)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_packed_keys_are_affine(data):
@@ -566,19 +591,19 @@ def _spy_widths(monkeypatch) -> list[int]:
 
 
 def test_division_overflowing_the_start_width_matches_max_scan(monkeypatch):
-    # Under elim(1), t*x reduced by t - y^255 is x*y^255: degree 256 in the
-    # second block, one more than the 8-bit fields the inputs fit.
+    # Under elim(1), t*x reduced by t - y^127 is x*y^127: degree 128 in the
+    # second block, one more than the 7-bit fields the inputs fit.
     ctx = ring(5, "t x y")
     order = MonomialOrder.elim(1)
-    basis = [parse_expr("t - y^255", ctx)]
+    basis = [parse_expr("t - y^127", ctx)]
     widths = _spy_widths(monkeypatch)
-    for text in ["t*x", "t^3*x + 2*t*y + x", "t^2 + t*x^200"]:
+    for text in ["t*x", "t^3*x + 2*t*y + x", "t^2 + t*x^100"]:
         f = parse_expr(text, ctx)
         remainder = normal_form(f, GroebnerBasis(ctx, order, tuple(basis)))
         assert remainder.terms == _reference_normal_form(f, basis, order)
-    assert widths[:2] == [8, 16]
+    assert widths[:2] == [7, 15]
     lex = MonomialOrder.lex()
-    basis = [parse_expr("x - y^255", ctx)]
+    basis = [parse_expr("x - y^127", ctx)]
     f = parse_expr("x^2 + t", ctx)
     remainder = normal_form(f, GroebnerBasis(ctx, lex, tuple(basis)))
     assert remainder.terms == _reference_normal_form(f, basis, lex)
@@ -605,19 +630,19 @@ def test_groebner_basis_checks_its_order_when_built():
 
 
 def test_normal_forms_widen_only_when_needed(monkeypatch):
-    # Under elim(1), t reduced by t - y^255 is y^255, in the 8-bit fields
-    # the basis is packed with; t*x is x*y^255, which overflows them, and
+    # Under elim(1), t reduced by t - y^127 is y^127, in the 7-bit fields
+    # the basis is packed with; t*x is x*y^127, which overflows them, and
     # x^300 is wider than them from the start.
     ctx = ring(5, "t x y")
     order = MonomialOrder.elim(1)
-    basis = [parse_expr("t - y^255", ctx)]
+    basis = [parse_expr("t - y^127", ctx)]
     G = GroebnerBasis(ctx, order, tuple(basis))
     widths = _spy_widths(monkeypatch)
     for text in ["t + x", "t*x", "2*t + y", "x^300 + t", "3*t"]:
         f = parse_expr(text, ctx)
         assert normal_form(f, G).terms == _reference_normal_form(f, basis, order)
-    assert widths == [8, 8, 16, 8, 16, 8]
-    assert G.packed[0].bits == 8
+    assert widths == [7, 7, 15, 7, 15, 7]
+    assert G.packed[0].bits == 7
 
 
 def test_buchberger_hands_its_divisors_to_the_basis(monkeypatch):
@@ -652,12 +677,12 @@ def _assert_groebner_by_max_scan(G: GroebnerBasis, I: IdealPresentation) -> None
 @pytest.mark.parametrize(
     "gens, order, expected",
     [
-        # A division leaves the 8-bit fields: t*x reduces to x*y^255.
-        (["t - y^255", "t*x"], MonomialOrder.elim(1), ["4*y^255 + t", "x*y^255"]),
-        # An S-polynomial does: y*(t*x + y^255) - x*(t*y + 1) has y^256.
-        (["t*x + y^255", "t*y + 1"], MonomialOrder.elim(1), None),
-        # A pair lcm does: lcm(x^200*y, x*y^200) has degree 400.
-        (["x^200*y + t", "x*y^200 + t"], MonomialOrder.grevlex(), None),
+        # A division leaves the 7-bit fields: t*x reduces to x*y^127.
+        (["t - y^127", "t*x"], MonomialOrder.elim(1), ["4*y^127 + t", "x*y^127"]),
+        # An S-polynomial does: y*(t*x + y^127) - x*(t*y + 1) has y^128.
+        (["t*x + y^127", "t*y + 1"], MonomialOrder.elim(1), None),
+        # A pair lcm does: lcm(x^100*y, x*y^100) has degree 200.
+        (["x^100*y + t", "x*y^100 + t"], MonomialOrder.grevlex(), None),
     ],
 )
 def test_buchberger_overflowing_the_start_width(gens, order, expected, monkeypatch):
@@ -665,7 +690,7 @@ def test_buchberger_overflowing_the_start_width(gens, order, expected, monkeypat
     I = _ideal(ctx, *gens)
     widths = _spy_widths(monkeypatch)
     G = buchberger(I, order)
-    assert widths[0] == 8 and 16 in widths
+    assert widths[0] == 7 and 15 in widths
     if expected is not None:
         assert [str(g) for g in G.basis] == expected
     assert G.leads == tuple(max(g.terms, key=order.key) for g in G.basis)

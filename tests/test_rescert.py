@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from frobsplit import (
     NotDivisibleError,
+    Polynomial,
     TwistedEndo,
     VanishingResidueError,
     VerdictKind,
@@ -31,6 +32,21 @@ from frobsplit import (
 from frobsplit.fparith import term_str
 from frobsplit.rescert import render_truncated
 from _util import contexts, polys, rand_poly
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_packed_minor_product_matches_the_multiplication_chain(n, p, monkeypatch):
+    ctx = matrix_context(n, p)
+    product = ctx.one()
+    for f in matrix_factors(ctx, n):
+        product = product * f
+    # The product as f^(p-1) receives it, with no budget on the power.
+    seen = []
+    monkeypatch.setattr(Polynomial, "pow_p_minus_1_cost", lambda f: (0.0, False))
+    monkeypatch.setattr(Polynomial, "pow_p_minus_1", lambda f: seen.append(f) or f)
+    matrix_section_coefficient(ctx, n)
+    assert seen == [product]
 
 
 def _det_oracle(ctx, n, rows, cols):
