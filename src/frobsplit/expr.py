@@ -16,22 +16,33 @@ non-negative integers once p is bound.  Multiplication is always
 explicit (``x*y``, never ``xy``), matching the canonical rendering,
 so parse(str(f)) == f.
 
+The syntax tree is made of tuples (see ``parse_ast``), with each chain of
+``+`` and ``-``, and each chain of ``*``, as one node.  It is evaluated on
+plain term dicts {exponent tuple: residue in [1, p)}, and only the result
+becomes a ``Polynomial``.  A chain of sums is added into one dict, left to
+right.  A product with a one-term operand, and a one-term base to a power,
+is an exponent shift or scale; other products and powers go through
+``Polynomial`` arithmetic.  A power whose exponent is exactly p-1 goes
+through ``Polynomial.pow_p_minus_1``, which divides the free Frobenius
+power f^p by f when that is cheaper than squaring.
+
 Evaluation has a size budget, checked before anything is expanded: an
 integer in an exponent, and every exponent a power produces, has at most
 ``MAX_EXPONENT_BITS`` bits, and a product or power whose estimated work
-in term products exceeds ``MAX_TERM_PRODUCTS`` is refused.  The estimate
-for a power is ``fparith.log_power_products``; it ignores the
-cancellations of characteristic p, so it may refuse a power that would
-have come out sparse.  Refusals are ``ParseError``.
+in term products exceeds ``MAX_TERM_PRODUCTS`` is refused.  A power is
+estimated by the route it takes: ``fparith.log_p_minus_1_cost`` for the
+p-1, ``fparith.log_power_products`` (square and multiply) otherwise.
+Neither counts the cancellations of characteristic p, so a power that
+would have come out sparse may be refused.  Errors are found depth first,
+left to right, and are ``ParseError``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import log
-from typing import Union
+from operator import add
 
-from .fparith import Polynomial, RingContext, log_power_products
+from .fparith import Monomial, Polynomial, RingContext, log_p_minus_1_cost, log_power_products
 
 
 class ParseError(ValueError):
@@ -42,46 +53,19 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-@dataclass(frozen=True)
-class Num:
-    value: int
-    pos: int
+ExprAst = tuple
+"""A syntax tree node, tagged by its first entry:
 
+    ("int", value, pos)      ("p", pos)      ("name", name, pos)
+    ("neg", operand)
+    ("sum", first, ((op, term, pos), ...))   op is "+" or "-"
+    ("prod", first, ((factor, pos), ...))
+    ("pow", base, exponent, pos)
 
-@dataclass(frozen=True)
-class Var:
-    name: str
-    pos: int
+A position is that of the token: the operator's for ``+``, ``-``, ``*``
+and ``^``."""
 
-
-@dataclass(frozen=True)
-class PrimeSym:
-    pos: int
-
-
-@dataclass(frozen=True)
-class Neg:
-    operand: "ExprAst"
-    pos: int
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str
-    left: "ExprAst"
-    right: "ExprAst"
-    pos: int
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: "ExprAst"
-    exponent: "ExprAst"
-    pos: int
-
-
-ExprAst = Union[Num, Var, PrimeSym, Neg, BinOp, Pow]
-
+Terms = dict[Monomial, int]
 
 _Token = tuple[str, str, int]  # kind, text, position
 
@@ -93,9 +77,11 @@ def _tokenize(text: str) -> list[_Token]:
         ch = text[i]
         if ch.isspace():
             i += 1
-        elif ch.isdigit():
+        elif ch.isdecimal():
+            # Not isdigit, which also takes superscripts and circled
+            # digits that int() refuses.
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j].isdecimal():
                 j += 1
             tokens.append(("int", text[i:j], i))
             i = j
@@ -114,13 +100,19 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+def _integer(text: str, pos: int) -> int:
+    try:
+        return int(text)
+    except ValueError:  # over the interpreter's limit on digits in int(str)
+        raise ParseError(f"integer too long: {len(text)} digits", pos) from None
+
+
 class _Parser:
+    __slots__ = ("tokens", "i")
+
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.i = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
 
     def next(self) -> _Token:
         tok = self.tokens[self.i]
@@ -134,40 +126,43 @@ class _Parser:
         return tok
 
     def expr(self) -> ExprAst:
-        node = self.term()
-        while self.peek()[0] in ("+", "-"):
+        first = self.term()
+        tokens = self.tokens
+        rest = []
+        while tokens[self.i][0] in ("+", "-"):
             op, _, pos = self.next()
-            node = BinOp(op, node, self.term(), pos)
-        return node
+            rest.append((op, self.term(), pos))
+        return ("sum", first, tuple(rest)) if rest else first
 
     def term(self) -> ExprAst:
-        node = self.unary()
-        while self.peek()[0] == "*":
-            _, _, pos = self.next()
-            node = BinOp("*", node, self.unary(), pos)
-        return node
+        first = self.unary()
+        tokens = self.tokens
+        rest = []
+        while tokens[self.i][0] == "*":
+            pos = self.next()[2]
+            rest.append((self.unary(), pos))
+        return ("prod", first, tuple(rest)) if rest else first
 
     def unary(self) -> ExprAst:
-        if self.peek()[0] == "-":
-            _, _, pos = self.next()
-            return Neg(self.unary(), pos)
-        return self.power()
-
-    def power(self) -> ExprAst:
-        base = self.atom()
-        if self.peek()[0] == "^":
-            _, _, pos = self.next()
-            return Pow(base, self.exponent(), pos)
-        return base
+        # A run of minus signs, read without recursion; an even number
+        # cancels.
+        tokens = self.tokens
+        negate = False
+        while tokens[self.i][0] == "-":
+            self.i += 1
+            negate = not negate
+        node = self.atom()
+        if tokens[self.i][0] == "^":
+            pos = self.next()[2]
+            node = ("pow", node, self.exponent(), pos)
+        return ("neg", node) if negate else node
 
     def atom(self) -> ExprAst:
         kind, text, pos = self.next()
         if kind == "int":
-            return Num(int(text), pos)
+            return ("int", _integer(text, pos), pos)
         if kind == "name":
-            if text == "p":
-                return PrimeSym(pos)
-            return Var(text, pos)
+            return ("p", pos) if text == "p" else ("name", text, pos)
         if kind == "(":
             node = self.expr()
             self.expect(")")
@@ -175,18 +170,9 @@ class _Parser:
         raise ParseError(f"expected a value, found {text or 'end of input'!r}", pos)
 
     def exponent(self) -> ExprAst:
-        kind, text, pos = self.peek()
-        if kind == "int":
-            self.next()
-            return Num(int(text), pos)
-        if kind == "name" and text == "p":
-            self.next()
-            return PrimeSym(pos)
-        if kind == "(":
-            self.next()
-            node = self.expr()
-            self.expect(")")
-            return node
+        kind, text, pos = self.tokens[self.i]
+        if kind == "int" or (kind == "name" and text == "p") or kind == "(":
+            return self.atom()
         raise ParseError("exponent must be an integer, 'p', or a parenthesized expression", pos)
 
 
@@ -220,84 +206,149 @@ def _checked(value: int, pos: int) -> int:
 
 def _eval_int(node: ExprAst, p: int) -> int:
     """Evaluate an exponent subtree to an integer with p bound."""
-    if isinstance(node, Num):
-        return _checked(node.value, node.pos)
-    if isinstance(node, PrimeSym):
+    tag = node[0]
+    if tag == "int":
+        return _checked(node[1], node[2])
+    if tag == "p":
         return p
-    if isinstance(node, Neg):
-        return -_eval_int(node.operand, p)
-    if isinstance(node, BinOp):
-        a, b = _eval_int(node.left, p), _eval_int(node.right, p)
-        if node.op == "+":
-            return _checked(a + b, node.pos)
-        if node.op == "-":
-            return _checked(a - b, node.pos)
-        if node.op == "*":
+    if tag == "neg":
+        return -_eval_int(node[1], p)
+    if tag == "sum":
+        value = _eval_int(node[1], p)
+        for op, term, pos in node[2]:
+            b = _eval_int(term, p)
+            value = _checked(value + b if op == "+" else value - b, pos)
+        return value
+    if tag == "prod":
+        value = _eval_int(node[1], p)
+        for factor, pos in node[2]:
+            b = _eval_int(factor, p)
             # The product has at least this many bits.
-            _check_bits(a.bit_length() + b.bit_length() - 1, node.pos)
-            return _checked(a * b, node.pos)
-    if isinstance(node, Pow):
-        e = _eval_int(node.exponent, p)
+            _check_bits(value.bit_length() + b.bit_length() - 1, pos)
+            value = _checked(value * b, pos)
+        return value
+    if tag == "pow":
+        pos = node[3]
+        e = _eval_int(node[2], p)
         if e < 0:
-            raise ParseError("negative exponent", node.pos)
-        base = _eval_int(node.base, p)
+            raise ParseError("negative exponent", pos)
+        base = _eval_int(node[1], p)
         if abs(base) > 1:
-            _check_bits((abs(base).bit_length() - 1) * e + 1, node.pos)
-        return _checked(base**e, node.pos)
-    if isinstance(node, Var):
-        raise ParseError(f"variable {node.name!r} not allowed in an exponent", node.pos)
-    raise ParseError("malformed exponent", getattr(node, "pos", 0))
+            _check_bits((abs(base).bit_length() - 1) * e + 1, pos)
+        return _checked(base**e, pos)
+    raise ParseError(f"variable {node[1]!r} not allowed in an exponent", node[2])
 
 
-def _eval_poly(node: ExprAst, context: RingContext) -> Polynomial:
-    p = context.p
-    if isinstance(node, Num):
-        return context.constant(node.value)
-    if isinstance(node, PrimeSym):
-        return context.constant(p)
-    if isinstance(node, Var):
-        if node.name not in context.variables:
-            raise ParseError(f"unknown variable {node.name!r}", node.pos)
-        return context.variable(node.name)
-    if isinstance(node, Neg):
-        return -_eval_poly(node.operand, context)
-    if isinstance(node, BinOp):
-        a = _eval_poly(node.left, context)
-        b = _eval_poly(node.right, context)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        _check_product(a, b, node.pos)
-        return a * b
-    if isinstance(node, Pow):
-        e = _eval_int(node.exponent, p)
-        if e < 0:
-            raise ParseError(f"exponent evaluates to {e}", node.pos)
-        base = _eval_poly(node.base, context)
-        _check_power(base, e, node.pos)
-        return base**e
-    raise ParseError("malformed expression", getattr(node, "pos", 0))
+class _Evaluator:
+    """Evaluates a syntax tree to a term dict in one ring.  Dicts that
+    nodes return may be shared, so none is changed once returned."""
 
+    __slots__ = ("context", "p", "zero", "units")
 
-def _check_product(a: Polynomial, b: Polynomial, pos: int) -> None:
-    # A product's exponents are sums of checked ones, so they grow by at
-    # most a bit per product written out; only its size needs a check.
-    if len(a.terms) * len(b.terms) > MAX_TERM_PRODUCTS:
-        raise ParseError(f"product too large: {len(a.terms)} by {len(b.terms)} terms", pos)
+    def __init__(self, context: RingContext):
+        self.context = context
+        self.p = context.p
+        self.zero: Monomial = (0,) * context.arity
+        # Each variable's unit monomial, as a term dict, built on first use.
+        self.units: dict[str, Terms] = {}
 
+    def terms(self, node: ExprAst) -> Terms:
+        tag = node[0]
+        if tag == "name":
+            unit = self.units.get(node[1])
+            if unit is None:
+                unit = self.units[node[1]] = self.unit(node[1], node[2])
+            return unit
+        if tag == "int":
+            c = node[1] % self.p
+            return {self.zero: c} if c else {}
+        if tag == "prod":
+            a = self.terms(node[1])
+            for factor, pos in node[2]:
+                b = self.terms(factor)
+                if len(a) * len(b) > MAX_TERM_PRODUCTS:
+                    # A product's exponents are sums of checked ones, so they
+                    # grow by at most a bit per product written out; only
+                    # its size needs a check.
+                    raise ParseError(f"product too large: {len(a)} by {len(b)} terms", pos)
+                a = self.product(a, b)
+            return a
+        if tag == "sum":
+            return self.sum(node)
+        if tag == "pow":
+            pos = node[3]
+            e = _eval_int(node[2], self.p)
+            if e < 0:
+                raise ParseError(f"exponent evaluates to {e}", pos)
+            return self.power(self.terms(node[1]), e, pos)
+        if tag == "neg":
+            p = self.p
+            return {m: p - c for m, c in self.terms(node[1]).items()}
+        return {}  # ("p", pos): p is 0 in F_p
 
-def _check_power(f: Polynomial, e: int, pos: int) -> None:
-    """Refuse f^e when its exponents or the estimated term products of
-    ``Polynomial.__pow__`` (square and multiply) exceed the budget."""
-    t = len(f.terms)
-    d = max(f.total_degree(), 0)
-    _check_bits((d * e).bit_length(), pos)
-    cap = log(MAX_TERM_PRODUCTS)
-    if t > 1 and log_power_products(t, f.context.arity, d, e, cap) > cap:
-        raise ParseError(f"power too large: a {t}-term polynomial to the {e}", pos)
+    def unit(self, name: str, pos: int) -> Terms:
+        try:
+            i = self.context.variables.index(name)
+        except ValueError:
+            raise ParseError(f"unknown variable {name!r}", pos) from None
+        zero = self.zero
+        return {zero[:i] + (1,) + zero[i + 1 :]: 1}
+
+    def sum(self, node: ExprAst) -> Terms:
+        """A chain of + and -, accumulated unreduced in one dict and reduced
+        mod p once per term at the end."""
+        out = dict(self.terms(node[1]))
+        get = out.get
+        for op, term, _ in node[2]:
+            if op == "+":
+                for m, c in self.terms(term).items():
+                    out[m] = get(m, 0) + c
+            else:
+                for m, c in self.terms(term).items():
+                    out[m] = get(m, 0) - c
+        p = self.p
+        return {m: r for m, c in out.items() if (r := c % p)}
+
+    def product(self, a: Terms, b: Terms) -> Terms:
+        if len(b) == 1:
+            a, b = b, a
+        if len(a) == 1:
+            # A term times f shifts f's exponents, or scales f when the
+            # term is a constant: no two products meet.
+            ((m, c),) = a.items()
+            p = self.p
+            if m == self.zero:
+                return {mb: c * cb % p for mb, cb in b.items()}
+            return {tuple(map(add, m, mb)): c * cb % p for mb, cb in b.items()}
+        context = self.context
+        return (Polynomial._raw(context, a) * Polynomial._raw(context, b)).terms
+
+    def power(self, f: Terms, e: int, pos: int) -> Terms:
+        """f^e, after checking its exponents and the estimated term products
+        of the route it takes against the budget."""
+        if e == 0:
+            return {self.zero: 1}
+        t = len(f)
+        if t == 1:
+            ((m, c),) = f.items()
+            _check_bits((sum(m) * e).bit_length(), pos)
+            return {tuple([x * e for x in m]): pow(c, e, self.p)}
+        if not t:
+            return f
+        d = max(map(sum, f))
+        _check_bits((d * e).bit_length(), pos)
+        arity, p = self.context.arity, self.p
+        cap = log(MAX_TERM_PRODUCTS)
+        if e == p - 1:
+            log_cost = log_p_minus_1_cost(t, arity, d, p)[0]
+        else:
+            log_cost = log_power_products(t, arity, d, e, cap)
+        if log_cost > cap:
+            raise ParseError(f"power too large: a {t}-term polynomial to the {e}", pos)
+        g = Polynomial._raw(self.context, f)
+        return (g.pow_p_minus_1() if e == p - 1 else g**e).terms
 
 
 def parse_expr(text: str, context: RingContext) -> Polynomial:
     """Parse an expression into a canonical polynomial in the given ring."""
-    return _eval_poly(parse_ast(text), context)
+    return Polynomial._raw(context, _Evaluator(context).terms(parse_ast(text)))

@@ -441,7 +441,7 @@ class Polynomial:
 
     def pow_p_minus_1(self) -> "Polynomial":
         """f^(p-1), by whichever of two routes is estimated to cost less
-        (``pow_p_minus_1_cost``).
+        (``log_p_minus_1_cost``).
 
         Dividing the free Frobenius power f^p exactly by f costs about
         |f^(p-1)| * |f| term updates; square-and-multiply (``__pow__``)
@@ -450,33 +450,21 @@ class Polynomial:
         updates against 1.86 million products.  Squaring wins for a dense f
         at a small p: for the 4x4 nested-minor product at p = 3 it is
         1379^2 products against 61824 * 1379 updates, about 0.5 s against
-        41 s, and at p = 2 it costs nothing.  Raises ZeroDivisionError for
-        f = 0.
+        41 s, and at p = 2 it costs nothing.  A one-term f is raised
+        directly, with no estimate.  Raises ZeroDivisionError for f = 0.
         """
-        if self.pow_p_minus_1_cost()[1]:
+        if len(self.terms) != 1 and self.pow_p_minus_1_cost()[1]:
             return exact_divide(self.frobenius(), self)
         return self ** (self.context.p - 1)
 
     def pow_p_minus_1_cost(self) -> tuple[float, bool]:
-        """The log of the estimated cost of ``pow_p_minus_1`` on this f, and
-        whether the route it picks divides.
-
-        Both routes are estimated from the bounds of ``log_power_terms``:
-        division in term updates, squaring in term products
-        (``log_power_products``).  The cost is that of the cheaper route;
-        at p = 2 it is nothing.  Raises ZeroDivisionError for f = 0.
-        """
-        if self.is_zero():
-            raise ZeroDivisionError("f^(p-1) is undefined for f = 0")
-        k = self.context.p - 1
-        if k == 1:
-            return -inf, False  # f^1 is f
-        shape = (len(self.terms), self.context.arity, self.total_degree())
-        log_division = log(shape[0]) + log_power_terms(*shape, k, inf)
-        log_squaring = log_power_products(*shape, k, log_division)
-        if log_squaring > log_division:
-            return log_division, True
-        return log_squaring, False
+        """``log_p_minus_1_cost`` of this f: the log of the estimated cost
+        of ``pow_p_minus_1``, and whether the route it picks divides.
+        Raises ZeroDivisionError for f = 0."""
+        t, p = len(self.terms), self.context.p
+        # Only an estimate reads the degree, which scans every term.
+        degree = self.total_degree() if t > 1 and p > 2 else 0
+        return log_p_minus_1_cost(t, self.context.arity, degree, p)
 
     # -- comparison and rendering ----------------------------------------
 
@@ -842,6 +830,33 @@ def log_power_products(terms: int, arity: int, degree: int, k: int, cap: float) 
             high *= 2
         k >>= 1
     return total
+
+
+def log_p_minus_1_cost(terms: int, arity: int, degree: int, p: int) -> tuple[float, bool]:
+    """The log of the estimated cost of ``Polynomial.pow_p_minus_1`` on an
+    f with ``terms`` terms of total degree at most ``degree`` in ``arity``
+    variables, and whether the route it picks divides.
+
+    Both routes are estimated from the bounds of ``log_power_terms``:
+    division in term updates, squaring in term products
+    (``log_power_products``).  The cost is that of the cheaper route, so
+    it is never above the squaring estimate.  At p = 2 it is nothing, and
+    a one-term f costs one coefficient power.  Needs only f's shape, so a
+    caller can refuse f^(p-1) before f is written out.  Raises
+    ZeroDivisionError for f = 0.
+    """
+    if not terms:
+        raise ZeroDivisionError("f^(p-1) is undefined for f = 0")
+    k = p - 1
+    if k == 1:
+        return -inf, False  # f^1 is f
+    if terms == 1:
+        return 0.0, False
+    log_division = log(terms) + log_power_terms(terms, arity, degree, k, inf)
+    log_squaring = log_power_products(terms, arity, degree, k, log_division)
+    if log_squaring > log_division:
+        return log_division, True
+    return log_squaring, False
 
 
 def _log_add(a: float, b: float) -> float:

@@ -25,6 +25,7 @@ from .fparith import (
     fit_bits,
     grevlex_desc_key,
     grevlex_layout,
+    log_p_minus_1_cost,
     packed_product,
     packing,
     ring,
@@ -198,8 +199,10 @@ def matrix_section_coefficient(ctx: RingContext, n: int) -> Polynomial:
     Raises ValueError before a multiplication of the product so far by the
     next minor would take more than ``MATRIX_PRODUCT_BUDGET`` term
     products, as for n = 6, and before f^(p-1) when the route
-    ``pow_p_minus_1`` picks is estimated to take more
-    (``Polynomial.pow_p_minus_1_cost``), as for n = 5 at p = 3.
+    ``pow_p_minus_1`` picks is estimated to take more, as for n = 5 at
+    p = 3.  That estimate (``fparith.log_p_minus_1_cost``) needs only the
+    product's term count, its arity and its degree, n^2, since every
+    minor is homogeneous, so the product is refused before it is unpacked.
     """
     pk = packing(grevlex_layout(ctx.arity), fit_bits(n * n))
     packed = {pk.base: 1}
@@ -211,13 +214,12 @@ def matrix_section_coefficient(ctx: RingContext, n: int) -> Polynomial:
                 f" term products, over {MATRIX_PRODUCT_BUDGET}"
             )
         packed = packed_product(packed, pk.pack_terms(f.terms), pk.base, ctx.p)
-    product = Polynomial._raw(ctx, pk.unpack_terms(packed))
-    if product.pow_p_minus_1_cost()[0] > log(MATRIX_PRODUCT_BUDGET):
+    if log_p_minus_1_cost(len(packed), ctx.arity, n * n, ctx.p)[0] > log(MATRIX_PRODUCT_BUDGET):
         raise ValueError(
             f"matrix too large: raising the product of its nested minors to the"
             f" p-1 takes over {MATRIX_PRODUCT_BUDGET} estimated term products"
         )
-    return product.pow_p_minus_1()
+    return Polynomial._raw(ctx, pk.unpack_terms(packed)).pow_p_minus_1()
 
 
 def render_truncated(f: Polynomial, limit: int = 40) -> str:

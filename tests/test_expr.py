@@ -1,15 +1,16 @@
 """Expression parser: precedence, prime binding, round trips, errors."""
 
+import math
 import random
 import time
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from frobsplit import ParseError, parse_expr, ring
-from frobsplit.expr import _tokenize
-from frobsplit.fparith import _is_variable_name
+from frobsplit import ParseError, Polynomial, parse_expr, ring
+from frobsplit.expr import MAX_TERM_PRODUCTS, _tokenize
+from frobsplit.fparith import _is_variable_name, log_power_products
 from _util import rand_poly
 
 
@@ -162,3 +163,159 @@ def test_budget_admits_sparse_and_monomial_powers():
     assert parse_expr("(x+y)^(3^6)", ctx) == x_plus_y.frobenius() ** 243
     big = ring(2305843009213693951, "x y")
     assert parse_expr("(x*y)^(p-1)", big) == big.monomial((big.p - 1, big.p - 1))
+
+
+@pytest.mark.parametrize("text, pos", [("x^²", 2), ("x²^2 + ①", 7), ("2² ", 1), ("x^(p-1)½", 7)])
+def test_non_decimal_digits_are_unexpected_characters(text, pos):
+    # "²".isdigit() is true, but int() refuses it: this was a bare
+    # ValueError with no position.
+    ctx = ring(3, "x")
+    with pytest.raises(ParseError) as err:
+        parse_expr(text, ctx)
+    assert str(err.value) == f"unexpected character {text[pos]!r} (at position {pos})"
+
+
+def test_decimal_digits_of_any_script_are_integers():
+    ctx = ring(5, "x")
+    assert parse_expr("x^٣ + ٤٢", ctx) == parse_expr("x^3 + 42", ctx)
+
+
+def test_integer_over_the_digit_limit_is_a_parse_error():
+    ctx = ring(3, "x")
+    with pytest.raises(ParseError, match="integer too long: 5000 digits"):
+        parse_expr("x + " + "1" * 5000, ctx)
+
+
+def test_long_chains_are_evaluated_without_recursion():
+    # A sum of 3000 terms was a RecursionError: the tree nested one level
+    # per operator.
+    ctx = ring(7, "x y")
+    x = ctx.variable("x")
+    assert parse_expr(" + ".join(["x"] * 3000), ctx) == x.scale(3000)
+    assert parse_expr("*".join(["x"] * 3000), ctx) == ctx.monomial((3000, 0))
+    assert parse_expr("-" * 3001 + "x", ctx) == -x
+
+
+@pytest.mark.parametrize("p", [2, 3, 101])
+@pytest.mark.parametrize("text", ["0^(p-1)", "(x-x)^(p-1)", "p^(p-1)", "(x*0 + y - y)^(p-1)"])
+def test_zero_base_to_the_p_minus_1_is_zero(text, p):
+    assert parse_expr(text, ring(p, "x y")).is_zero()
+
+
+def test_p_minus_1_goes_through_pow_p_minus_1(monkeypatch):
+    ctx = ring(101, "x y")
+    f = parse_expr("x*y + x + 1", ctx)
+    expected = f.pow_p_minus_1()
+    assert expected * f == f.frobenius()
+    calls = []
+    route = Polynomial.pow_p_minus_1
+    monkeypatch.setattr(Polynomial, "pow_p_minus_1", lambda g: calls.append(g) or route(g))
+    assert parse_expr("(x*y+x+1)^(p-1)", ctx) == expected
+    assert calls == [f]
+    # One-term bases are raised directly, and other exponents square.
+    assert parse_expr("(2*x*y)^(p-1) + (x+y)^(p-2)", ctx) == ctx.monomial((100, 100)) + (
+        ctx.variable("x") + ctx.variable("y")
+    ) ** 99
+    assert calls == [f]
+
+
+def test_p_minus_1_budget_is_that_of_its_route(monkeypatch):
+    # Squaring (x+y+1)^210 is estimated over the budget; dividing f^211 by
+    # f is not, so it is accepted at p = 211.
+    ctx = ring(211, "x y")
+    assert log_power_products(3, 2, 1, 210, math.inf) > math.log(MAX_TERM_PRODUCTS)
+    f = parse_expr("(x+y+1)^(p-1)", ctx)
+    assert len(f.terms) == math.comb(212, 2)
+    g = parse_expr("x+y+1", ctx)
+    assert f * g == g.frobenius()
+
+    def expanded(*args):
+        raise AssertionError("expanded before the budget check")
+
+    monkeypatch.setattr(Polynomial, "pow_p_minus_1", expanded)
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="power too large: a 5-term polynomial to the 1008") as err:
+        parse_expr("(x+y+z+w+1)^(p-1)", ring(1009, "x y z w"))
+    assert err.value.pos == 11
+    assert time.perf_counter() - start < 1.0
+
+
+_trees = st.recursive(
+    st.one_of(
+        st.tuples(st.just("int"), st.integers(0, 200)),
+        st.sampled_from([("name", "x"), ("name", "y"), ("p",)]),
+    ),
+    lambda children: st.one_of(
+        st.tuples(st.just("neg"), children),
+        st.tuples(st.sampled_from(["+", "-", "*"]), children, children),
+        st.tuples(st.just("^"), children, st.sampled_from([0, 1, 2, 3, "p", "(p-1)"])),
+    ),
+    max_leaves=8,
+)
+
+
+def _render(node) -> tuple[str, int]:
+    """The text of a tree with the fewest parentheses the grammar needs,
+    and its precedence: 1 sum, 2 product, 3 unary minus, 4 power, 5 atom."""
+
+    def at_least(child, level: int) -> str:
+        text, own = _render(child)
+        return text if own >= level else f"({text})"
+
+    tag = node[0]
+    if tag == "int":
+        return str(node[1]), 5
+    if tag in ("name", "p"):
+        return node[-1], 5
+    if tag == "neg":
+        return "-" + at_least(node[1], 3), 3
+    if tag == "^":
+        return f"{at_least(node[1], 5)}^{node[2]}", 4
+    if tag == "*":
+        return f"{at_least(node[1], 2)}*{at_least(node[2], 3)}", 2
+    return f"{at_least(node[1], 1)} {tag} {at_least(node[2], 2)}", 1
+
+
+def _reference(node, ctx):
+    """The tree's value by plain ``Polynomial`` arithmetic, or None when a
+    power would be too large to check quickly."""
+    tag = node[0]
+    if tag == "int":
+        return ctx.constant(node[1])
+    if tag == "name":
+        return ctx.variable(node[1])
+    if tag == "p":
+        return ctx.zero()
+    args = [_reference(child, ctx) for child in node[1:] if isinstance(child, tuple)]
+    if None in args:
+        return None
+    if tag == "neg":
+        return -args[0]
+    if tag == "^":
+        e = {"p": ctx.p, "(p-1)": ctx.p - 1}.get(node[2], node[2])
+        if e > 3 and len(args[0].terms) > 2:
+            return None
+        return args[0] ** e
+    a, b = args
+    return a + b if tag == "+" else a - b if tag == "-" else a * b
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, 7, 101]), tree=_trees)
+def test_parse_matches_polynomial_arithmetic(p, tree):
+    ctx = ring(p, "x y")
+    expected = _reference(tree, ctx)
+    assume(expected is not None)
+    assert parse_expr(_render(tree)[0], ctx) == expected
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 101]),
+    text=st.text(st.sampled_from(list("xyzp0129+-*^() \t") + ["²", "①", "٣", "½", "$", "é"]), max_size=14),
+)
+def test_bad_input_raises_only_parse_error(p, text):
+    try:
+        parse_expr(text, ring(p, "x y"))
+    except ParseError:
+        pass

@@ -436,3 +436,29 @@ def test_derivative_example():
     f = parse_expr("x^4*y + 2*x^3 + x*y^2 + y", ctx)
     assert f.derivative(0) == parse_expr("x^3*y + y^2", ctx)
     assert f.derivative(1) == parse_expr("x^4 + 2*x*y + 1", ctx)
+
+
+def test_pow_p_minus_1_raises_one_term_f_without_an_estimate(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("f^(p-1) of one term estimated")
+
+    monkeypatch.setattr(fparith, "log_power_terms", refuse)
+    monkeypatch.setattr(fparith, "exact_divide", refuse)
+    ctx = ring(5, "x y")
+    f = ctx.monomial((1, 2), 2)
+    assert f.pow_p_minus_1_cost() == (0.0, False)
+    assert f.pow_p_minus_1() == ctx.monomial((4, 8), 16)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    terms=st.integers(1, 60),
+    arity=st.integers(1, 6),
+    degree=st.integers(0, 6),
+    p=st.sampled_from([2, 3, 5, 7, 11, 101, 1009]),
+)
+def test_p_minus_1_cost_is_never_above_the_squaring_estimate(terms, arity, degree, p):
+    # The parser budgets a (p-1)-st power by this cost, where it used the
+    # squaring estimate: no power it accepted is refused now.
+    cost, _ = fparith.log_p_minus_1_cost(terms, arity, degree, p)
+    assert cost <= log_power_products(terms, arity, degree, p - 1, math.inf) + 1e-9

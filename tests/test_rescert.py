@@ -29,7 +29,8 @@ from frobsplit import (
     search_chain,
     substitute_zero,
 )
-from frobsplit.fparith import term_str
+from frobsplit import rescert
+from frobsplit.fparith import Packing, term_str
 from frobsplit.rescert import render_truncated
 from _util import contexts, polys, rand_poly
 
@@ -43,10 +44,20 @@ def test_packed_minor_product_matches_the_multiplication_chain(n, p, monkeypatch
         product = product * f
     # The product as f^(p-1) receives it, with no budget on the power.
     seen = []
-    monkeypatch.setattr(Polynomial, "pow_p_minus_1_cost", lambda f: (0.0, False))
+    monkeypatch.setattr(rescert, "log_p_minus_1_cost", lambda *shape: (0.0, False))
     monkeypatch.setattr(Polynomial, "pow_p_minus_1", lambda f: seen.append(f) or f)
     matrix_section_coefficient(ctx, n)
     assert seen == [product]
+
+
+def test_section_power_over_budget_is_refused_before_unpacking(monkeypatch):
+    # The estimate needs only the product's term count, arity and degree.
+    def unpacked(*args):
+        raise AssertionError("product unpacked before its f^(p-1) was refused")
+
+    monkeypatch.setattr(Packing, "unpack_terms", unpacked)
+    with pytest.raises(ValueError, match="raising the product of its nested minors to the p-1"):
+        matrix_section_coefficient(matrix_context(3, 11), 3)
 
 
 def _det_oracle(ctx, n, rows, cols):

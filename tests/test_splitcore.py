@@ -409,8 +409,8 @@ def test_matrix_product_budget_covers_the_section_power(monkeypatch):
 def test_matrix_demo_section_power_over_budget_is_refused():
     # f^(p-1) of the 1,003,156-term 5x5 product ended in a MemoryError
     # traceback under a 2 GB limit.  It is refused once the product is
-    # built, which takes about 5 s; a subprocess keeps the limit off the
-    # test run.
+    # built, before it is unpacked, which takes about 3 s; a subprocess
+    # keeps the limit off the test run.
     src = str(Path(frobsplit.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     script = "import sys; from frobsplit.cli import main; sys.exit(main(sys.argv[1:]))"
