@@ -22,7 +22,7 @@ from .fparith import (
     Polynomial,
     Prime,
     RingContext,
-    grevlex_key,
+    grevlex_desc_key,
     ring,
     term_str,
 )
@@ -124,7 +124,10 @@ class DifferentialForm:
             return "0"
         names = self.context.variables
         parts = []
-        for m, idx, c in sorted(terms, key=lambda t: (grevlex_key(t[0]), t[1]), reverse=True):
+        # Descending by monomial, then by index tuple: the tuples of one
+        # form have one length, so negating their entries reverses them.
+        terms.sort(key=lambda t: (grevlex_desc_key(t[0]), tuple(-i for i in t[1])))
+        for m, idx, c in terms:
             dpart = "^".join(f"d{names[i]}" for i in idx)
             if idx and c == 1 and all(e == 0 for e in m):
                 parts.append(dpart)

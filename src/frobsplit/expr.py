@@ -26,15 +26,17 @@ is an exponent shift or scale; other products and powers go through
 through ``Polynomial.pow_p_minus_1``, which divides the free Frobenius
 power f^p by f when that is cheaper than squaring.
 
-Evaluation has a size budget, checked before anything is expanded: an
-integer in an exponent, and every exponent a power produces, has at most
-``MAX_EXPONENT_BITS`` bits, and a product or power whose estimated work
-in term products exceeds ``MAX_TERM_PRODUCTS`` is refused.  A power is
-estimated by the route it takes: ``fparith.log_p_minus_1_cost`` for the
-p-1, ``fparith.log_power_products`` (square and multiply) otherwise.
-Neither counts the cancellations of characteristic p, so a power that
-would have come out sparse may be refused.  Errors are found depth first,
-left to right, and are ``ParseError``.
+Parentheses nest at most ``MAX_NESTING`` levels deep, as the parser and
+the evaluators recurse once per level.  Evaluation has a size budget,
+checked before anything is expanded: an integer in an exponent, and
+every exponent a power produces, has at most ``MAX_EXPONENT_BITS`` bits,
+and a product or power whose estimated work in term products exceeds
+``MAX_TERM_PRODUCTS`` is refused.  A power is estimated by the route it
+takes: ``fparith.log_p_minus_1_cost`` for the p-1,
+``fparith.log_power_products`` (square and multiply) otherwise.  Neither
+counts the cancellations of characteristic p, so a power that would have
+come out sparse may be refused.  Errors are found depth first, left to
+right, and are ``ParseError``.
 """
 
 from __future__ import annotations
@@ -108,11 +110,12 @@ def _integer(text: str, pos: int) -> int:
 
 
 class _Parser:
-    __slots__ = ("tokens", "i")
+    __slots__ = ("tokens", "i", "depth")
 
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.i = 0
+        self.depth = 0  # parentheses open at the current token
 
     def next(self) -> _Token:
         tok = self.tokens[self.i]
@@ -164,8 +167,12 @@ class _Parser:
         if kind == "name":
             return ("p", pos) if text == "p" else ("name", text, pos)
         if kind == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError("expression nested too deeply", pos)
+            self.depth += 1
             node = self.expr()
             self.expect(")")
+            self.depth -= 1
             return node
         raise ParseError(f"expected a value, found {text or 'end of input'!r}", pos)
 
@@ -188,6 +195,14 @@ def parse_ast(text: str) -> ExprAst:
 MAX_EXPONENT_BITS = 1024
 """Bits allowed in an integer in an exponent and in an exponent a power
 produces: x^(p^11) at p near 2^81 fits, x^(2^(2^40)) does not."""
+
+MAX_NESTING = 150
+"""Levels of parentheses allowed.  Each level costs at most five frames
+of recursion in the parser (``expr``, ``term``, ``unary``, ``exponent``,
+``atom``) or in an evaluator (``_Evaluator.terms`` and ``sum`` through a
+sum, a product, a minus and a power; ``_eval_int`` fewer), so the deepest
+input takes about 750 of the interpreter's default limit of 1000 frames,
+and the rest is left to the caller."""
 
 MAX_TERM_PRODUCTS = 10**7
 """Term products allowed, by estimate, in one product or power, a few

@@ -35,11 +35,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from heapq import heapify, heappop, heappush
+from heapq import heapify, heappop, heappush, nsmallest
 from math import exp, inf, log, log1p
 from operator import add, itemgetter, mul
 from struct import Struct
-from typing import Callable, Iterator, Mapping, Sequence, TypeVar
+from typing import Callable, Mapping, Sequence, TypeVar
 
 Monomial = tuple[int, ...]
 """Exponent vector; entry i is the exponent of the context's i-th variable."""
@@ -231,16 +231,12 @@ def ring(p: int, names: str | Sequence[str]) -> RingContext:
     return RingContext(Prime(p), tuple(names))
 
 
-def grevlex_key(m: Monomial) -> tuple:
-    """Sort key realizing graded reverse lexicographic order (ascending)."""
-    return (sum(m), tuple(-e for e in reversed(m)))
-
-
 def grevlex_desc_key(m: Monomial) -> tuple:
-    """Flat key whose ascending order is descending grevlex order.
-
-    It is ``grevlex_key`` with every entry negated and flattened, so it
-    is injective and a min-heap on it yields the largest monomial first.
+    """Flat key whose ascending order is descending grevlex order: the
+    negated degree, then the exponents from the last variable to the
+    first.  It is injective, and its least value is the largest monomial.
+    The packed keys of ``grevlex_layout`` order monomials the same way,
+    but sorting by this tuple is cheaper than packing for printing.
     """
     return (-sum(m),) + m[::-1]
 
@@ -316,10 +312,16 @@ class Polynomial:
             return degrees.pop()
         return None
 
-    def sorted_terms(self) -> Iterator[tuple[Monomial, int]]:
-        """Terms in descending grevlex order (the canonical print order)."""
-        for m in sorted(self.terms, key=grevlex_desc_key):
-            yield m, self.terms[m]
+    def sorted_terms(self, limit: int | None = None) -> list[tuple[Monomial, int]]:
+        """Terms in descending grevlex order (the canonical print order);
+        with ``limit``, only the first ``limit`` of them, without sorting
+        the rest."""
+        terms = self.terms
+        if limit is None:
+            ms = sorted(terms, key=grevlex_desc_key)
+        else:
+            ms = nsmallest(limit, terms, key=grevlex_desc_key)
+        return [(m, terms[m]) for m in ms]
 
     # -- ring operations --------------------------------------------------
 

@@ -48,7 +48,7 @@ from .fparith import (
     embed,
     exact_divide,
     fit_bits,
-    grevlex_key,
+    grevlex_desc_key,
     grevlex_layout,
     log_power_terms,
     make_divisor,
@@ -83,17 +83,6 @@ class MonomialOrder:
         if k < 1:
             raise ValueError("elimination block must be nonempty")
         return cls("elim", k)
-
-    def key(self, m: Monomial):
-        if self.kind == "lex":
-            return m
-        if self.kind == "grevlex":
-            return grevlex_key(m)
-        if self.kind == "elim":
-            if self.block >= len(m):
-                raise ValueError("elimination block must be smaller than the arity")
-            return (grevlex_key(m[: self.block]), grevlex_key(m[self.block :]))
-        raise ValueError(f"unknown order kind {self.kind!r}")
 
     def layout(self, arity: int) -> Layout:
         """The fields of this order's packed keys (``fparith.Packing``):
@@ -192,11 +181,6 @@ def _pack(basis: tuple[Polynomial, ...], pk: Packing, p: int) -> list[Divisor]:
     """Polynomials as divisors packed with ``pk``, each led by its least key."""
     packed = [pk.pack_terms(g.terms) for g in basis]
     return [make_divisor(terms, min(terms), p, pk) for terms in packed]
-
-
-def _leading(f: Polynomial, order: MonomialOrder) -> tuple[Monomial, int]:
-    m = max(f.terms, key=order.key)
-    return m, f.terms[m]
 
 
 def _lcm(pk: Packing, a: Monomial, b: Monomial) -> tuple[Monomial, int]:
@@ -388,11 +372,10 @@ def normal_form(f: Polynomial, G: GroebnerBasis) -> Polynomial:
     start, divisors = G.packed
 
     def run(pk: Packing) -> dict[Monomial, int]:
-        packed = pk.pack_terms(f.terms)
-        remainder = divide_terms(packed, divisors if pk is start else _pack(G.basis, pk, p), p, pk)
-        # Terms of f that survive keep their tuples; only new ones unpack.
-        known = dict(zip(packed, f.terms))
-        return {known.get(k) or pk.unpack(k): c for k, c in remainder.items()}
+        remainder = divide_terms(
+            pk.pack_terms(f.terms), divisors if pk is start else _pack(G.basis, pk, p), p, pk
+        )
+        return pk.unpack_terms(remainder)
 
     bits = fit_bits(degree(f.terms))
     pk = start if start.bits >= bits else packing(start.layout, bits)
@@ -495,7 +478,7 @@ def fedder_module(I: IdealPresentation) -> IdealPresentation:
     if len(I.generators) == 1:
         (g,) = I.generators
         p = ctx.p
-        inv = pow(_leading(g, GREVLEX)[1], p - 2, p)
+        inv = pow(g.terms[min(g.terms, key=grevlex_desc_key)], p - 2, p)
         return IdealPresentation(ctx, (g.pow_p_minus_1().scale(inv),))
     Ip = frobenius_power_ideal(I)
     return reduce(intersect, [colon(Ip, g) for g in I.generators])

@@ -12,9 +12,8 @@ generated here as well.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import nsmallest
 from itertools import combinations, permutations
-from math import log
+from math import factorial, log
 
 from .fparith import (
     Coefficient,
@@ -23,7 +22,6 @@ from .fparith import (
     Polynomial,
     RingContext,
     fit_bits,
-    grevlex_desc_key,
     grevlex_layout,
     log_p_minus_1_cost,
     packed_product,
@@ -136,9 +134,23 @@ def origin_coefficient(f: Polynomial) -> Coefficient:
 
 
 def matrix_context(n: int, p: int) -> RingContext:
-    """Ring in the n^2 entries of a generic matrix, variables x11..xnn."""
+    """Ring in the n^2 entries of a generic matrix, variables x11..xnn.
+
+    Raises ValueError, before any name is made, when the n x n minor
+    alone has more than ``MATRIX_PRODUCT_BUDGET`` terms (n! of them, so
+    for every n from 10 up): the nested-minor section is out of reach,
+    and from n = 11 on the names would collide (x1,11 and x11,1).
+    """
     if n < 1:
         raise ValueError("matrix size must be positive")
+    terms = 1
+    for k in range(2, n + 1):
+        terms *= k
+        if terms > MATRIX_PRODUCT_BUDGET:
+            raise ValueError(
+                f"matrix too large: its {n}x{n} minor alone has {n}! terms,"
+                f" over {MATRIX_PRODUCT_BUDGET}"
+            )
     names = [f"x{i + 1}{j + 1}" for i in range(n) for j in range(n)]
     return ring(p, names)
 
@@ -162,6 +174,17 @@ def minor(ctx: RingContext, n: int, rows: list[int], cols: list[int]) -> Polynom
     return Polynomial._raw(ctx, {m: r for m, c in terms.items() if (r := c % p)})
 
 
+def _nested_blocks(ctx: RingContext, n: int) -> list[list[int]]:
+    """Rows, and columns, of the nested principal minors of a generic
+    n x n matrix: the leading ones of sizes 1..n, then the trailing ones
+    of sizes n-1..1."""
+    if n < 1:
+        raise ValueError("matrix size must be positive")
+    if ctx.arity != n * n:
+        raise ValueError(f"context must have {n * n} variables")
+    return [list(range(k + 1)) for k in range(n)] + [list(range(k, n)) for k in range(1, n)]
+
+
 def matrix_factors(ctx: RingContext, n: int) -> list[Polynomial]:
     """Nested principal minors of a generic n x n matrix.
 
@@ -170,15 +193,7 @@ def matrix_factors(ctx: RingContext, n: int) -> list[Polynomial]:
     Their product, raised to the p-1, is the classic example of a
     section certified by a residue chain.
     """
-    if n < 1:
-        raise ValueError("matrix size must be positive")
-    if ctx.arity != n * n:
-        raise ValueError(f"context must have {n * n} variables")
-    factors = [minor(ctx, n, list(range(k + 1)), list(range(k + 1))) for k in range(n)]
-    factors += [
-        minor(ctx, n, list(range(k, n)), list(range(k, n))) for k in range(1, n)
-    ]
-    return factors
+    return [minor(ctx, n, block, block) for block in _nested_blocks(ctx, n)]
 
 
 MATRIX_PRODUCT_BUDGET = 3 * 10**6
@@ -198,7 +213,8 @@ def matrix_section_coefficient(ctx: RingContext, n: int) -> Polynomial:
 
     Raises ValueError before a multiplication of the product so far by the
     next minor would take more than ``MATRIX_PRODUCT_BUDGET`` term
-    products, as for n = 6, and before f^(p-1) when the route
+    products, as for n = 6, counting the k! terms of a k x k minor before
+    it is built, and before f^(p-1) when the route
     ``pow_p_minus_1`` picks is estimated to take more, as for n = 5 at
     p = 3.  That estimate (``fparith.log_p_minus_1_cost``) needs only the
     product's term count, its arity and its degree, n^2, since every
@@ -206,13 +222,14 @@ def matrix_section_coefficient(ctx: RingContext, n: int) -> Polynomial:
     """
     pk = packing(grevlex_layout(ctx.arity), fit_bits(n * n))
     packed = {pk.base: 1}
-    for f in matrix_factors(ctx, n):
-        products = len(packed) * len(f.terms)
+    for block in _nested_blocks(ctx, n):
+        products = len(packed) * factorial(len(block))
         if products > MATRIX_PRODUCT_BUDGET:
             raise ValueError(
                 f"matrix too large: multiplying its nested minors takes {products}"
                 f" term products, over {MATRIX_PRODUCT_BUDGET}"
             )
+        f = minor(ctx, n, block, block)
         packed = packed_product(packed, pk.pack_terms(f.terms), pk.base, ctx.p)
     if log_p_minus_1_cost(len(packed), ctx.arity, n * n, ctx.p)[0] > log(MATRIX_PRODUCT_BUDGET):
         raise ValueError(
@@ -227,6 +244,5 @@ def render_truncated(f: Polynomial, limit: int = 40) -> str:
     n_terms = len(f.terms)
     if n_terms <= limit:
         return str(f)
-    # The first ``limit`` terms in print order, without sorting the rest.
-    shown = [term_str(f.context, m, f.terms[m]) for m in nsmallest(limit, f.terms, key=grevlex_desc_key)]
+    shown = [term_str(f.context, m, c) for m, c in f.sorted_terms(limit)]
     return " + ".join(shown) + f" + ... ({n_terms} terms)"

@@ -6,7 +6,7 @@ import random
 
 from hypothesis import strategies as st
 
-from frobsplit import IdealPresentation, Polynomial, RingContext, ring
+from frobsplit import IdealPresentation, MonomialOrder, Polynomial, RingContext, ring
 
 
 def rand_poly(
@@ -30,6 +30,30 @@ def rand_poly(
     if nonzero and poly.is_zero():
         return ctx.one()
     return poly
+
+
+def grevlex_key(m: tuple) -> tuple:
+    """Reference sort key of grevlex order, ascending: the degree, then
+    the exponents from the last variable to the first, negated."""
+    return (sum(m), tuple(-e for e in reversed(m)))
+
+
+def order_key(order: MonomialOrder):
+    """Reference sort key of a ``MonomialOrder``, ascending, written
+    apart from its packed layout so that Buchberger output can be checked
+    against it."""
+    if order.kind == "lex":
+        return lambda m: m
+    if order.kind == "grevlex":
+        return grevlex_key
+    k = order.block
+    return lambda m: (grevlex_key(m[:k]), grevlex_key(m[k:]))
+
+
+def leading(f: Polynomial, order: MonomialOrder) -> tuple[tuple, int]:
+    """Leading monomial of f under ``order`` and its coefficient."""
+    m = max(f.terms, key=order_key(order))
+    return m, f.terms[m]
 
 
 def schoolbook_mul(a: dict, b: dict, p: int) -> dict:

@@ -197,6 +197,30 @@ def test_parse_error_exit_code(capsys):
     assert "error" in captured.err
 
 
+@pytest.mark.parametrize("levels", [250, 1000])
+@pytest.mark.parametrize(
+    "argv, text, check",
+    [
+        (["split-check", "-p", "3", "--vars", "x,y"], "{}", {"kind": "splitting"}),
+        (["split-check", "-p", "3", "--vars", "x,y"], "x^{}", {"kind": "splitting"}),
+        (["fedder", "-p", "3", "--vars", "x,y", "--ideal", "x"], "{}", {"kind": "fedder"}),
+    ],
+    ids=["expression", "exponent", "ideal generator"],
+)
+def test_deep_nesting_is_a_parse_error(argv, text, check, levels, capsys):
+    deep = text.format("(" * levels + "2" + ")" * levels)
+    assert main(argv + [deep]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: expression nested too deeply (at position ")
+    assert "Traceback" not in err
+    if check["kind"] == "fedder":
+        case = CorpusCase("deep", 3, ("x", "y"), None, ({**check, "ideal": ["x", deep]},))
+    else:
+        case = CorpusCase("deep", 3, ("x", "y"), deep, (check,))
+    (result,) = run_case(case).checks
+    assert result.verdict.startswith("error: expression nested too deeply")
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])

@@ -25,7 +25,21 @@ from frobsplit import (
     volume_form,
     wedge,
 )
-from _util import rand_poly
+from _util import grevlex_key, rand_poly
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_form_prints_by_monomial_then_index_descending(data):
+    n = data.draw(st.integers(1, 4))
+    ctx = ring(data.draw(st.sampled_from([2, 3, 5, 7])), [f"x{i}" for i in range(n)])
+    degree = data.draw(st.integers(0, n))
+    index = st.lists(st.integers(0, n - 1), min_size=degree, max_size=degree, unique=True)
+    key = st.tuples(st.tuples(*[st.integers(0, 3)] * n), index.map(lambda i: tuple(sorted(i))))
+    terms = data.draw(st.dictionaries(key, st.integers(1, ctx.p - 1), max_size=10))
+    order = sorted(terms, key=lambda t: (grevlex_key(t[0]), t[1]), reverse=True)
+    shown = [str(DifferentialForm(ctx, degree, {t: terms[t]})) for t in order]
+    assert str(DifferentialForm(ctx, degree, terms)) == (" + ".join(shown) or "0")
 
 
 def _rand_form(rng, ctx, degree, max_terms=3):

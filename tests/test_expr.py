@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from frobsplit import ParseError, Polynomial, parse_expr, ring
-from frobsplit.expr import MAX_TERM_PRODUCTS, _tokenize
+from frobsplit.expr import MAX_NESTING, MAX_TERM_PRODUCTS, _tokenize
 from frobsplit.fparith import _is_variable_name, log_power_products
 from _util import rand_poly
 
@@ -194,6 +194,49 @@ def test_long_chains_are_evaluated_without_recursion():
     assert parse_expr(" + ".join(["x"] * 3000), ctx) == x.scale(3000)
     assert parse_expr("*".join(["x"] * 3000), ctx) == ctx.monomial((3000, 0))
     assert parse_expr("-" * 3001 + "x", ctx) == -x
+
+
+def _nest(levels: int, inner: str, wrap) -> str:
+    for _ in range(levels):
+        inner = wrap(inner)
+    return inner
+
+
+# Shapes whose every level of parentheses costs the most frames: five in
+# the parser through an exponent, five in the evaluator through a sum, a
+# product, a minus and a power.  Each maps the number of levels to the
+# text and to a flat text of the same value.
+_DEEP_SHAPES = {
+    "parentheses": lambda n: (_nest(n, "x+y", lambda e: f"({e})"), "x+y"),
+    "sum of product of power": lambda n: (
+        _nest(n, "x", lambda e: f"-({e})^1*x+x"),
+        " + ".join(f"{(-1) ** (i + 1)}*x^{i}" for i in range(1, n + 2)),
+    ),
+    "exponent": lambda n: ("x^" + _nest(n, "2", lambda e: f"({e})"), "x^2"),
+    "exponent of exponent": lambda n: ("x^(" + _nest(n - 1, "1", lambda e: f"1^({e})") + ")", "x"),
+    "sum in exponent": lambda n: (
+        "x^(" + _nest(n - 1, "1", lambda e: f"-({e})^1*1+1") + ")",
+        f"x^{n % 2}",
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", _DEEP_SHAPES)
+def test_nesting_up_to_the_bound_parses(shape):
+    ctx = ring(3, "x y")
+    assert MAX_NESTING >= 150
+    text, flat = _DEEP_SHAPES[shape](MAX_NESTING)
+    assert parse_expr(text, ctx) == parse_expr(flat, ctx)
+
+
+@pytest.mark.parametrize("levels", [MAX_NESTING + 1, 250, 1000])
+@pytest.mark.parametrize("shape", _DEEP_SHAPES)
+def test_nesting_past_the_bound_is_a_parse_error(shape, levels):
+    text, _ = _DEEP_SHAPES[shape](levels)
+    first_too_deep = [i for i, ch in enumerate(text) if ch == "("][MAX_NESTING]
+    with pytest.raises(ParseError, match="expression nested too deeply") as err:
+        parse_expr(text, ring(3, "x y"))
+    assert err.value.pos == first_too_deep
 
 
 @pytest.mark.parametrize("p", [2, 3, 101])

@@ -23,8 +23,8 @@ from frobsplit import (
     substitute_zero,
 )
 from frobsplit.expr import parse_expr
-from frobsplit.fparith import grevlex_key, log_power_products, monomial_divides
-from _util import contexts, polys, rand_poly, schoolbook_mul
+from frobsplit.fparith import log_power_products, monomial_divides
+from _util import contexts, grevlex_key, polys, rand_poly, schoolbook_mul
 
 
 @pytest.mark.parametrize("value", [2, 3, 5, 7, 32003])
@@ -394,6 +394,18 @@ def test_rendering_golden():
     node = ring(3, "x y")
     f = (node.monomial((0, 2)) - node.monomial((3, 0)) - node.monomial((2, 0))) ** 2
     assert str(f) == "x^6 + 2*x^5 + x^3*y^2 + x^4 + x^2*y^2 + y^4"
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_sorted_terms_is_descending_grevlex(data):
+    n = data.draw(st.integers(1, 12))
+    ctx = ring(data.draw(st.sampled_from([2, 3, 5, 7])), [f"x{i}" for i in range(n)])
+    f = data.draw(polys(ctx, max_exp=3, max_terms=12))
+    order = sorted(f.terms, key=grevlex_key, reverse=True)
+    assert [m for m, _ in f.sorted_terms()] == order
+    k = data.draw(st.integers(0, len(order) + 2))
+    assert f.sorted_terms(k) == [(m, f.terms[m]) for m in order[:k]]
 
 
 def test_embed():

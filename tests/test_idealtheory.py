@@ -33,7 +33,7 @@ from frobsplit import (
     s_polynomial,
 )
 from frobsplit.fparith import Packing, fit_bits, monomial_divides, packing
-from _util import contexts, ideals, polys, rand_poly, wide_contexts
+from _util import contexts, ideals, leading, order_key, polys, rand_poly, wide_contexts
 
 ORDERS = [MonomialOrder.lex(), MonomialOrder.grevlex(), MonomialOrder.elim(1)]
 
@@ -102,9 +102,7 @@ def test_groebner_self_checks_random(p):
 def test_groebner_reduced_basis_is_monic_and_interreduced():
     ctx = ring(3, "x y z")
     G = buchberger(_ideal(ctx, "x^2+y", "x*y+z", "2*y^2+x*z"))
-    from frobsplit.idealtheory import _leading
-
-    leads = [_leading(g, G.order) for g in G.basis]
+    leads = [leading(g, G.order) for g in G.basis]
     assert all(c == 1 for _, c in leads)
     for i, g in enumerate(G.basis):
         for m in g.terms:
@@ -355,11 +353,12 @@ def _reference_normal_form(f, basis, order):
     """Division that rescans for the leading term with ``max`` on every
     step, reducing by the first basis element whose lead divides it."""
     p = f.context.p
-    leads = [max(g.terms, key=order.key) for g in basis]
+    key = order_key(order)
+    leads = [max(g.terms, key=key) for g in basis]
     work = dict(f.terms)
     remainder = {}
     while work:
-        lead = max(work, key=order.key)
+        lead = max(work, key=key)
         for g, lm in zip(basis, leads):
             if all(a <= b for a, b in zip(lm, lead)):
                 shift = tuple(a - b for a, b in zip(lead, lm))
@@ -392,12 +391,10 @@ def test_normal_form_matches_max_scan_division(data, order):
 
 
 def test_groebner_basis_keeps_leading_monomials():
-    from frobsplit.idealtheory import _leading
-
     ctx = ring(3, "x y z")
     for order in ORDERS:
         G = buchberger(_ideal(ctx, "x^2+y", "x*y+z", "2*y^2+x*z"), order)
-        assert G.leads == tuple(_leading(g, order)[0] for g in G.basis)
+        assert G.leads == tuple(leading(g, order)[0] for g in G.basis)
 
 
 @settings(max_examples=40, deadline=None)
@@ -516,7 +513,7 @@ def test_packed_keys_sort_descending(data):
     monomials = data.draw(st.lists(st.tuples(*[_exponents] * n), unique=True, min_size=1, max_size=12))
     for order in _orders(n):
         pk = _packing_for(order, n, *monomials)
-        assert sorted(monomials, key=pk.pack) == sorted(monomials, key=order.key, reverse=True)
+        assert sorted(monomials, key=pk.pack) == sorted(monomials, key=order_key(order), reverse=True)
         for m in monomials:
             assert pk.pack(m) & pk.guards == 0
             assert pk.unpack(pk.pack(m)) == m
@@ -612,13 +609,11 @@ def test_division_overflowing_the_start_width_matches_max_scan(monkeypatch):
 @settings(max_examples=100, deadline=None)
 @given(st.data(), st.sampled_from(ORDERS))
 def test_leads_are_the_least_packed_keys(data, order):
-    from frobsplit.idealtheory import _leading
-
     ctx = data.draw(contexts.filter(lambda c: c.arity >= 2))
     gens = data.draw(st.lists(polys(ctx, max_exp=2, max_terms=4, nonzero=True), min_size=1, max_size=3))
     G = buchberger(IdealPresentation(ctx, gens), order)
     for basis in (tuple(gens), G.basis):
-        assert GroebnerBasis(ctx, order, basis).leads == tuple(_leading(g, order)[0] for g in basis)
+        assert GroebnerBasis(ctx, order, basis).leads == tuple(leading(g, order)[0] for g in basis)
     assert G.leads == GroebnerBasis(ctx, order, G.basis).leads
 
 
@@ -693,7 +688,7 @@ def test_buchberger_overflowing_the_start_width(gens, order, expected, monkeypat
     assert widths[0] == 7 and 15 in widths
     if expected is not None:
         assert [str(g) for g in G.basis] == expected
-    assert G.leads == tuple(max(g.terms, key=order.key) for g in G.basis)
+    assert G.leads == tuple(leading(g, order)[0] for g in G.basis)
     _assert_groebner_by_max_scan(G, I)
 
 

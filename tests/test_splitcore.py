@@ -438,6 +438,29 @@ def test_matrix_demo_over_budget_is_refused_at_once(capsys):
     assert time.perf_counter() - start < 2
 
 
+_STEP_SIX = "multiplying its nested minors takes 5843520 term products, over 3000000"
+
+
+@pytest.mark.parametrize(
+    "size, message",
+    [
+        (6, _STEP_SIX),
+        (9, _STEP_SIX),
+        (10, "its 10x10 minor alone has 10! terms, over 3000000"),
+        (11, "its 11x11 minor alone has 11! terms, over 3000000"),
+        (100000, "its 100000x100000 minor alone has 100000! terms, over 3000000"),
+    ],
+)
+def test_matrix_demo_refuses_each_oversized_size_at_once(size, message, capsys):
+    # Size 9 took 5.4 s and size 10 took 58 s: every minor was built before
+    # the first step check.  From size 11 up the refusal was a clash of
+    # variable names (x1,11 and x11,1), after 7 s of naming at size 3000.
+    start = time.perf_counter()
+    assert main(["matrix-demo", "--size", str(size), "-p", "2"]) == 2
+    assert capsys.readouterr().err == f"error: matrix too large: {message}\n"
+    assert time.perf_counter() - start < 2
+
+
 def test_semigroup_witness_certifies():
     for gens in ([2, 3], [3, 5], [4, 5], [3, 7, 11]):
         s = NumericalSemigroup(gens)
