@@ -25,10 +25,11 @@ bytes, so a key is unpacked by one ``struct`` call.  A new term whose
 guard bit is set has left its field; ``PackingOverflow`` is raised and
 ``packed_call`` reruns the computation at the next width, so no field
 ever wraps.  A power packs f once at the width of f^k, where no field can
-overflow, squares and multiplies on int keys (``packed_product``), and
-unpacks once; a chain of products, such as ``rescert``'s nested minors,
-can do the same.  ``Polynomial.__mul__`` stays on exponent tuples: a
-single product would pay for packing and unpacking both operands.
+overflow, squares and multiplies on int keys (``packed_power``), and
+unpacks once; a chain of products and powers, such as ``rescert``'s
+nested minors, can do the same.  ``Polynomial.__mul__`` stays on exponent
+tuples: a single product would pay for packing and unpacking both
+operands.
 """
 
 from __future__ import annotations
@@ -389,12 +390,11 @@ class Polynomial:
         return Polynomial._raw(self.context, {m: (a * c) % p for m, a in self.terms.items()})
 
     def __pow__(self, k: int) -> "Polynomial":
-        """f^k by square-and-multiply on packed keys.
+        """f^k by square-and-multiply on packed keys (``packed_power``).
 
         f is packed once at the width that holds every field of f^k, so
         no field of any f^j with j <= k can overflow, and the result is
-        unpacked once.  A squaring takes each pair of terms once
-        (``_packed_square``).  A one-term f is raised directly.
+        unpacked once.  A one-term f is raised directly.
         """
         if k < 0:
             raise ValueError("negative power of a polynomial")
@@ -407,15 +407,8 @@ class Polynomial:
             ((m, c),) = self.terms.items()
             return Polynomial._raw(self.context, {tuple(e * k for e in m): pow(c, k, p)})
         pk = packing(grevlex_layout(self.context.arity), fit_bits(k * degree(self.terms)))
-        power = pk.pack_terms(self.terms)
-        result = None
-        while True:
-            if k & 1:
-                result = power if result is None else packed_product(result, power, pk.base, p)
-            k >>= 1
-            if not k:
-                return Polynomial._raw(self.context, pk.unpack_terms(result))
-            power = _packed_square(power, pk.base, p)
+        power = packed_power(pk.pack_terms(self.terms), k, pk.base, p)
+        return Polynomial._raw(self.context, pk.unpack_terms(power))
 
     def derivative(self, var: int) -> "Polynomial":
         """The partial derivative in the variable of index ``var``, mod p.
@@ -450,9 +443,10 @@ class Polynomial:
         costs the term products of its multiplications.  Division wins for
         a sparse f at a large p: for xy + x + 1 at p = 101 it is 5151 * 3
         updates against 1.86 million products.  Squaring wins for a dense f
-        at a small p: for the 4x4 nested-minor product at p = 3 it is
-        1379^2 products against 61824 * 1379 updates, about 0.5 s against
-        41 s, and at p = 2 it costs nothing.  A one-term f is raised
+        at a small p: for the 1379-term product of the 4x4 nested minors
+        at p = 3 it is 1379 * 1380 / 2 term products against 61824 * 1379
+        updates, measured at 0.47 s against 53 s (2 cores, Python 3.11),
+        and at p = 2 it costs nothing.  A one-term f is raised
         directly, with no estimate.  Raises ZeroDivisionError for f = 0.
         """
         if len(self.terms) != 1 and self.pow_p_minus_1_cost()[1]:
@@ -683,6 +677,35 @@ def _packed_square(a: Mapping[int, int], base: int, p: int) -> dict[int, int]:
     return {key: r for key, c in out.items() if (r := c % p)}
 
 
+def packed_power(a: Mapping[int, int], k: int, base: int, p: int) -> Mapping[int, int]:
+    """a^k for k >= 1 by square-and-multiply on packed keys, whose width
+    must hold every field of a^k (then no a^j with j <= k overflows).  A
+    squaring takes each pair of terms once (``_packed_square``)."""
+    result = None
+    while True:
+        if k & 1:
+            result = a if result is None else packed_product(result, a, base, p)
+        k >>= 1
+        if not k:
+            return result
+        a = _packed_square(a, base, p)
+
+
+def packed_p_minus_1(a: Mapping[int, int], divides: bool, pk: Packing, p: int) -> Mapping[int, int]:
+    """a^(p-1) on packed keys, whose width must hold every field of a^p:
+    with ``divides``, by dividing the Frobenius power a^p, whose keys are
+    base + p * (key - base), exactly by a; otherwise by ``packed_power``.
+    ``log_p_minus_1_cost`` picks the route, as in
+    ``Polynomial.pow_p_minus_1``."""
+    base = pk.base
+    if not divides:
+        return packed_power(a, p - 1, base, p)
+    frobenius = {base + p * (key - base): c for key, c in a.items()}
+    quotient: dict[int, int] = {}
+    divide_terms(frobenius, (make_divisor(a, min(a), p, pk),), p, pk, quotient)
+    return quotient
+
+
 def degree(terms: Mapping[Monomial, int]) -> int:
     """The total degree of nonempty terms, as ``fit_bits`` takes it."""
     return max(map(sum, terms))
@@ -891,6 +914,9 @@ def embed(f: Polynomial, target: RingContext, positions: Sequence[int]) -> Polyn
     for i, j in enumerate(positions):
         source[j] = i
     pick = itemgetter(*source)
+    if len(positions) == target.arity:
+        # A permutation: every slot reads a variable of f, none the 0.
+        return Polynomial._raw(target, {pick(m): c for m, c in f.terms.items()})
     return Polynomial._raw(target, {pick(m + (0,)): c for m, c in f.terms.items()})
 
 

@@ -24,6 +24,7 @@ from .fparith import (
     fit_bits,
     grevlex_layout,
     log_p_minus_1_cost,
+    packed_p_minus_1,
     packed_product,
     packing,
     ring,
@@ -96,34 +97,35 @@ def certify_chain(f: Polynomial, order: list[int] | tuple[int, ...]) -> ResidueC
 
 
 def search_chain(f: Polynomial) -> ResidueChain | None:
-    """Depth-first search for a residue chain, variables tried in index order.
+    """The residue chain that steps, at each level, through the first
+    variable in index order whose residue step succeeds, or None.
 
-    Returns the first complete chain found, or None.  Only coordinate
-    hyperplanes are tried, so sections whose coefficient has no
-    coordinate-power factor are missed even when they do span a
-    splitting (the nodal cubic is the standard miss).
+    No step needs to be undone.  The residue after a set of variables does
+    not depend on their order, and removing variables only removes terms,
+    so a step that succeeds stays possible after any further steps.  The
+    term (x_1 ... x_n)^(p-1) survives every step, and every chain ends in
+    its coefficient, so when a chain exists no step vanishes.  So this is
+    the first chain a depth-first search over orders in index order finds,
+    reached with the same tries, and when that search would backtrack no
+    chain exists.  Only coordinate hyperplanes are tried, so sections
+    whose coefficient has no coordinate-power factor are missed even when
+    they do span a splitting (the nodal cubic is the standard miss).
     """
-    ctx = f.context
-
-    def dfs(current: Polynomial, remaining: tuple[int, ...], acc: list) -> bool:
-        if not remaining:
-            return True
+    remaining = list(range(f.context.arity))
+    steps: list[tuple[int, Polynomial]] = []
+    current = f
+    while remaining:
         for var in remaining:
             try:
-                nxt = residue_step(current, var)
+                current = residue_step(current, var)
             except (NotDivisibleError, VanishingResidueError):
                 continue
-            acc.append((var, nxt))
-            if dfs(nxt, tuple(v for v in remaining if v != var), acc):
-                return True
-            acc.pop()
-        return False
-
-    acc: list[tuple[int, Polynomial]] = []
-    if not dfs(f, tuple(range(ctx.arity)), acc):
-        return None
-    terminal = acc[-1][1].constant_value()
-    return ResidueChain(initial=f, steps=tuple(acc), terminal=terminal)
+            steps.append((var, current))
+            remaining.remove(var)
+            break
+        else:
+            return None
+    return ResidueChain(initial=f, steps=tuple(steps), terminal=current.constant_value())
 
 
 def origin_coefficient(f: Polynomial) -> Coefficient:
@@ -197,46 +199,79 @@ def matrix_factors(ctx: RingContext, n: int) -> list[Polynomial]:
 
 
 MATRIX_PRODUCT_BUDGET = 3 * 10**6
-"""Term products allowed in one multiplication of the nested minors, and
-estimated for their product's f^(p-1): a few seconds.  The 5x5 steps take
-at most 1.6 million (767,136 at p = 2), the 6x6 ones reach 5.8 million by
-the sixth minor.  The 4x4 f^(p-1) at p = 3 is 1379^2 = 1.9 million
-products; the 5x5 one at p = 3 is far over."""
+"""Term products allowed in one multiplication of the nested minors (at
+p = 2) or of their powers (at p > 2), and estimated for one minor's
+f^(p-1): a few seconds.  Measured in process on 2 cores, Python 3.11:
+
+- p = 2: the 5x5 steps take at most 767,136 (the section in 2.9 s); the
+  6x6 ones reach 5.8 million by the sixth minor.
+- p = 3: the 4x4 steps take at most 92,442 (0.2 s).  The 5x5 section is
+  refused at once, at 20.5 million for the 5x5 minor's power.
+- p = 5: the 4x4 section is refused at 22.4 million, after a step of
+  2.4 million (1.2 s).
+- The 3x3 section fits up to p = 23 (1.75 million, 3 s).  At p = 29 and
+  31 a multiplication is refused; from p = 37 up, the 3x3 minor's power
+  is estimated over the budget.
+"""
 
 
 def matrix_section_coefficient(ctx: RingContext, n: int) -> Polynomial:
-    """Product of the nested principal minors, to the (p-1)-st power.
+    """The section of the nested principal minors m_i of a generic n x n
+    matrix: (m_1 ... m_(2n-1))^(p-1), computed as the product of the
+    m_i^(p-1), so that each minor is raised while it is small.
 
-    The minors are multiplied on packed keys (``fparith.Packing``) at the
-    width of their summed degrees, n^2, where no field can overflow, and
-    the product is unpacked once.
+    Every minor is packed once (``fparith.Packing``), at the width of the
+    section's degree (p-1)n^2, where no field can overflow; for n >= 2 it
+    also holds the degree pk of a k x k minor's f^p, which the division
+    route divides.  Each is
+    raised to the p-1 on packed keys by the route ``pow_p_minus_1`` would
+    pick (``fparith.packed_p_minus_1``), the powers are multiplied in
+    order, and the section is unpacked once.  At p = 2 the section is the
+    product itself, and no power is taken.
 
-    Raises ValueError before a multiplication of the product so far by the
-    next minor would take more than ``MATRIX_PRODUCT_BUDGET`` term
-    products, as for n = 6, counting the k! terms of a k x k minor before
-    it is built, and before f^(p-1) when the route
-    ``pow_p_minus_1`` picks is estimated to take more, as for n = 5 at
-    p = 3.  That estimate (``fparith.log_p_minus_1_cost``) needs only the
-    product's term count, its arity and its degree, n^2, since every
-    minor is homogeneous, so the product is refused before it is unpacked.
+    Raises ValueError before any minor is built when one minor's f^(p-1),
+    from its k! terms of degree k, is estimated at more than
+    ``MATRIX_PRODUCT_BUDGET`` term products (``fparith.log_p_minus_1_cost``),
+    and before a multiplication of the product so far by the next power
+    would take more.  At p = 2 that count is taken from the k! terms of a
+    k x k minor before it is built, as for n = 6.
     """
-    pk = packing(grevlex_layout(ctx.arity), fit_bits(n * n))
+    p = ctx.p
+    blocks = _nested_blocks(ctx, n)
+    divides = {k: _minor_power_route(ctx.arity, k, p) for k in range(1, n + 1)} if p > 2 else {}
+    pk = packing(grevlex_layout(ctx.arity), fit_bits((p - 1) * n * n))
     packed = {pk.base: 1}
-    for block in _nested_blocks(ctx, n):
-        products = len(packed) * factorial(len(block))
-        if products > MATRIX_PRODUCT_BUDGET:
-            raise ValueError(
-                f"matrix too large: multiplying its nested minors takes {products}"
-                f" term products, over {MATRIX_PRODUCT_BUDGET}"
-            )
-        f = minor(ctx, n, block, block)
-        packed = packed_product(packed, pk.pack_terms(f.terms), pk.base, ctx.p)
-    if log_p_minus_1_cost(len(packed), ctx.arity, n * n, ctx.p)[0] > log(MATRIX_PRODUCT_BUDGET):
+    for block in blocks:
+        k = len(block)
+        if p == 2:
+            _check_products(len(packed) * factorial(k), "its nested minors")
+        power = pk.pack_terms(minor(ctx, n, block, block).terms)
+        if p > 2:
+            power = packed_p_minus_1(power, divides[k], pk, p)
+            _check_products(len(packed) * len(power), "the powers of its nested minors")
+        packed = packed_product(packed, power, pk.base, p)
+    return Polynomial._raw(ctx, pk.unpack_terms(packed))
+
+
+def _minor_power_route(arity: int, k: int, p: int) -> bool:
+    """Whether the f^(p-1) of a k x k minor, of k! terms of degree k, is
+    taken by division (``log_p_minus_1_cost``); raises ValueError when
+    it is estimated at more than ``MATRIX_PRODUCT_BUDGET`` term products."""
+    cost, divides = log_p_minus_1_cost(factorial(k), arity, k, p)
+    if cost > log(MATRIX_PRODUCT_BUDGET):
         raise ValueError(
-            f"matrix too large: raising the product of its nested minors to the"
-            f" p-1 takes over {MATRIX_PRODUCT_BUDGET} estimated term products"
+            f"matrix too large: raising its {k}x{k} minor to the p-1 takes over"
+            f" {MATRIX_PRODUCT_BUDGET} estimated term products"
         )
-    return Polynomial._raw(ctx, pk.unpack_terms(packed)).pow_p_minus_1()
+    return divides
+
+
+def _check_products(products: int, what: str) -> None:
+    if products > MATRIX_PRODUCT_BUDGET:
+        raise ValueError(
+            f"matrix too large: multiplying {what} takes {products}"
+            f" term products, over {MATRIX_PRODUCT_BUDGET}"
+        )
 
 
 def render_truncated(f: Polynomial, limit: int = 40) -> str:

@@ -3,10 +3,21 @@
 from __future__ import annotations
 
 import random
+from itertools import permutations
 
 from hypothesis import strategies as st
 
-from frobsplit import IdealPresentation, MonomialOrder, Polynomial, RingContext, ring
+from frobsplit import (
+    IdealPresentation,
+    MonomialOrder,
+    NotDivisibleError,
+    Polynomial,
+    ResidueChain,
+    RingContext,
+    VanishingResidueError,
+    certify_chain,
+    ring,
+)
 
 
 def rand_poly(
@@ -64,6 +75,18 @@ def schoolbook_mul(a: dict, b: dict, p: int) -> dict:
             m = tuple(x + y for x, y in zip(ma, mb))
             out[m] = out.get(m, 0) + ca * cb
     return {m: c % p for m, c in out.items() if c % p}
+
+
+def exhaustive_chain(f: Polynomial) -> ResidueChain | None:
+    """The residue chain of the first order of the variables, in
+    lexicographic order of the permutations, that ``certify_chain``
+    completes, or None: a search over every order, with no shortcut."""
+    for order in permutations(range(f.context.arity)):
+        try:
+            return certify_chain(f, order)
+        except (NotDivisibleError, VanishingResidueError):
+            continue
+    return None
 
 
 contexts = st.builds(

@@ -1,6 +1,7 @@
 """CLI commands, report formats, corpus execution, exit codes."""
 
 import json
+import time
 
 import pytest
 
@@ -68,6 +69,17 @@ def test_certify_command(capsys):
 def test_search_chain_command(capsys):
     code = main(["search-chain", "-p", "3", "--vars", "x,y", "(y^2-x^3-x^2)^(p-1)"])
     assert code == 0
+    assert "verdict=False" in capsys.readouterr().out
+
+
+def test_search_chain_without_a_chain_is_decided_at_once(capsys):
+    # v0 ... v9 * v10^2 at p = 2 has no chain: every residue along v10
+    # vanishes.  A depth-first search over orders took 47 s to say so.
+    names = [f"v{i}" for i in range(11)]
+    expr = "*".join(names[:10]) + "*v10^2"
+    start = time.perf_counter()
+    assert main(["search-chain", "-p", "2", "--vars", ",".join(names), expr]) == 0
+    assert time.perf_counter() - start < 1
     assert "verdict=False" in capsys.readouterr().out
 
 

@@ -408,6 +408,18 @@ def test_sorted_terms_is_descending_grevlex(data):
     assert f.sorted_terms(k) == [(m, f.terms[m]) for m in order[:k]]
 
 
+@given(contexts.flatmap(lambda ctx: st.tuples(polys(ctx), st.permutations(range(ctx.arity)))))
+def test_embed_by_a_permutation_matches_the_general_path(args):
+    # Into a ring of f's own arity, embed only permutes each monomial;
+    # into one more variable, it reads that variable's exponent as 0.
+    f, perm = args
+    n, p = f.context.arity, f.context.p
+    same = ring(p, [f"y{i}" for i in range(n)])
+    wider = ring(p, [f"y{i}" for i in range(n + 1)])
+    general = embed(f, wider, perm)
+    assert embed(f, same, perm).terms == {m[:n]: c for m, c in general.terms.items()}
+
+
 def test_embed():
     src = ring(3, "x y")
     dst = ring(3, "a x y")

@@ -29,35 +29,46 @@ from frobsplit import (
     search_chain,
     substitute_zero,
 )
-from frobsplit import rescert
 from frobsplit.fparith import Packing, term_str
 from frobsplit.rescert import render_truncated
-from _util import contexts, polys, rand_poly
+from _util import contexts, exhaustive_chain, polys, rand_poly
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("p", [2, 3, 5])
-def test_packed_minor_product_matches_the_multiplication_chain(n, p, monkeypatch):
+def test_packed_minor_product_matches_the_multiplication_chain(n, p):
+    ctx = matrix_context(n, p)
+    if (n, p) == (4, 5):
+        # The 186,494-term product of the powers of the leading minors
+        # times the 120-term power of the trailing 3x3 minor.
+        with pytest.raises(ValueError, match="powers of its nested minors takes 22379280 term"):
+            matrix_section_coefficient(ctx, n)
+        return
+    product = ctx.one()
+    for f in matrix_factors(ctx, n):
+        product = product * f ** (p - 1)
+    assert matrix_section_coefficient(ctx, n) == product
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 3), st.sampled_from([2, 3, 5, 7]))
+def test_section_is_the_power_of_the_product(n, p):
     ctx = matrix_context(n, p)
     product = ctx.one()
     for f in matrix_factors(ctx, n):
         product = product * f
-    # The product as f^(p-1) receives it, with no budget on the power.
-    seen = []
-    monkeypatch.setattr(rescert, "log_p_minus_1_cost", lambda *shape: (0.0, False))
-    monkeypatch.setattr(Polynomial, "pow_p_minus_1", lambda f: seen.append(f) or f)
-    matrix_section_coefficient(ctx, n)
-    assert seen == [product]
+    assert matrix_section_coefficient(ctx, n) == product ** (p - 1)
 
 
 def test_section_power_over_budget_is_refused_before_unpacking(monkeypatch):
-    # The estimate needs only the product's term count, arity and degree.
+    # The powers are multiplied on packed keys; the 5x5 section at p = 3
+    # is refused at the multiplication by the 5x5 minor's power.
     def unpacked(*args):
-        raise AssertionError("product unpacked before its f^(p-1) was refused")
+        raise AssertionError("product unpacked before it was refused")
 
     monkeypatch.setattr(Packing, "unpack_terms", unpacked)
-    with pytest.raises(ValueError, match="raising the product of its nested minors to the p-1"):
-        matrix_section_coefficient(matrix_context(3, 11), 3)
+    with pytest.raises(ValueError, match="multiplying the powers of its nested minors takes"):
+        matrix_section_coefficient(matrix_context(5, 3), 5)
 
 
 def _det_oracle(ctx, n, rows, cols):
@@ -245,6 +256,26 @@ def test_search_chain_round_trip():
     replay = certify_chain(coeff, order)
     assert replay.terminal == chain.terminal
     assert replay.steps == chain.steps
+
+
+@st.composite
+def chain_candidates(draw):
+    """Sections in up to 5 variables whose exponents are mostly p-1, so
+    that many have a residue chain and many more fail late."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 5))
+    ctx = ring(p, [f"x{i}" for i in range(n)])
+    exps = st.tuples(*[st.sampled_from([p - 1, p - 1, p - 1, 0, p, 2 * p - 1])] * n)
+    terms = draw(st.dictionaries(exps, st.integers(1, p - 1), max_size=5))
+    if draw(st.booleans()):
+        terms[(p - 1,) * n] = draw(st.integers(1, p - 1))
+    return Polynomial(ctx, terms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(chain_candidates())
+def test_search_chain_matches_the_search_over_all_orders(f):
+    assert search_chain(f) == exhaustive_chain(f)
 
 
 def test_search_chain_misses_node():

@@ -1,6 +1,7 @@
 """Twisted endomorphisms, splitting verdicts, localization, P1, semigroups."""
 
 import itertools
+import json
 import os
 import random
 import resource
@@ -22,6 +23,7 @@ from frobsplit import (
     NumericalSemigroup,
     TwistedEndo,
     VerdictKind,
+    certify_chain,
     check_splitting,
     frobenius_roots,
     frobenius_trace,
@@ -39,6 +41,7 @@ from frobsplit import (
     tensor,
 )
 from frobsplit.cli import main
+from frobsplit.rescert import render_truncated
 from _util import contexts, polys, rand_poly
 
 
@@ -396,21 +399,37 @@ def test_matrix_product_budget_is_the_largest_step(monkeypatch):
 
 
 def test_matrix_product_budget_covers_the_section_power(monkeypatch):
-    # The 3x3 nested-minor product at p = 5 has 20 terms; squaring it to the
-    # 4th is estimated at 20^2 + 210^2 = 44,500 term products.
+    # The 3x3 section at p = 5 multiplies the 241-term product of the
+    # powers so far by the 5-term 4th power of the trailing 2x2 minor:
+    # 1205 term products, above the 477 estimated for the 3x3 minor's power.
     ctx = matrix_context(3, 5)
-    monkeypatch.setattr(rescert, "MATRIX_PRODUCT_BUDGET", 44_600)
+    monkeypatch.setattr(rescert, "MATRIX_PRODUCT_BUDGET", 1205)
     assert not matrix_section_coefficient(ctx, 3).is_zero()
-    monkeypatch.setattr(rescert, "MATRIX_PRODUCT_BUDGET", 44_400)
-    with pytest.raises(ValueError, match="to the p-1 takes over 44400 estimated"):
+    monkeypatch.setattr(rescert, "MATRIX_PRODUCT_BUDGET", 1204)
+    with pytest.raises(ValueError, match="powers of its nested minors takes 1205 term products"):
+        matrix_section_coefficient(ctx, 3)
+
+
+def test_matrix_minor_power_budget_is_the_estimate(monkeypatch):
+    # The 4th power of the 6-term 3x3 minor is estimated at 477 term
+    # products.  Above that, the refusal comes from a multiplication;
+    # below it, from the estimate, before any minor is built.
+    ctx = matrix_context(3, 5)
+    monkeypatch.setattr(rescert, "MATRIX_PRODUCT_BUDGET", 478)
+    with pytest.raises(ValueError, match="powers of its nested minors takes 600 term products"):
+        matrix_section_coefficient(ctx, 3)
+    monkeypatch.setattr(rescert, "MATRIX_PRODUCT_BUDGET", 476)
+    monkeypatch.setattr(rescert, "minor", lambda *args: pytest.fail("a minor was built"))
+    with pytest.raises(ValueError, match="raising its 3x3 minor to the p-1 takes over 476"):
         matrix_section_coefficient(ctx, 3)
 
 
 def test_matrix_demo_section_power_over_budget_is_refused():
     # f^(p-1) of the 1,003,156-term 5x5 product ended in a MemoryError
-    # traceback under a 2 GB limit.  It is refused once the product is
-    # built, before it is unpacked, which takes about 3 s; a subprocess
-    # keeps the limit off the test run.
+    # traceback under a 2 GB limit, and was later refused after about 3 s.
+    # The powers of the minors are multiplied as they come, and the
+    # multiplication by the 5x5 minor's power is refused at once.  A
+    # subprocess keeps the limit off the test run.
     src = str(Path(frobsplit.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     script = "import sys; from frobsplit.cli import main; sys.exit(main(sys.argv[1:]))"
@@ -425,7 +444,7 @@ def test_matrix_demo_section_power_over_budget_is_refused():
     )
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert proc.stderr.startswith("error: matrix too large: raising the product")
+    assert proc.stderr.startswith("error: matrix too large: multiplying the powers")
     assert proc.stderr.count("\n") == 1
 
 
@@ -435,6 +454,31 @@ def test_matrix_demo_over_budget_is_refused_at_once(capsys):
     assert main(["matrix-demo", "--size", "6", "-p", "2"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: matrix too large") and err.count("\n") == 1
+    assert time.perf_counter() - start < 2
+
+
+def test_matrix_demo_size_3_at_p_11_is_certified(capsys):
+    # Refused while f^(p-1) was the power of the 3x3 product, estimated
+    # over the budget; each minor's power is small.
+    assert main(["matrix-demo", "--size", "3", "-p", "11", "--format", "json"]) == 0
+    checks = {check["kind"]: check for check in json.loads(capsys.readouterr().out)["checks"]}
+    assert checks["splitting"]["verdict"] == "Splitting"
+    certificate = checks["chain"]["certificate"]
+    ctx = matrix_context(3, 11)
+    order = [ctx.index(step["var"]) for step in certificate["steps"]]
+    chain = certify_chain(matrix_section_coefficient(ctx, 3), order)
+    assert [render_truncated(f) for _, f in chain.steps] == [s["result"] for s in certificate["steps"]]
+    assert str(chain.terminal) == certificate["terminal"] == "1"
+
+
+@pytest.mark.parametrize("size, p", [(4, 5), (5, 3)])
+def test_matrix_demo_oversized_powers_are_refused_in_process(size, p, capsys):
+    # --size 5 -p 3 was refused after 3 s and 300 MB.  --size 4 -p 5 runs
+    # one multiplication of 2.4 million term products before its refusal.
+    start = time.perf_counter()
+    assert main(["matrix-demo", "--size", str(size), "-p", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: matrix too large: multiplying the powers") and err.count("\n") == 1
     assert time.perf_counter() - start < 2
 
 
