@@ -385,9 +385,13 @@ def test_normal_form_matches_max_scan_division(data, order):
     # Any list of divisors, not only a Groebner basis: the division rule
     # itself must match, not just the unique remainder modulo a basis.
     G = GroebnerBasis(ctx, order, tuple(basis))
-    assert normal_form(f, G).terms == _reference_normal_form(f, basis, order)
+    remainder = _reference_normal_form(f, basis, order)
+    assert normal_form(f, G).terms == remainder
+    assert G.contains(f) == (not remainder)
     gb = buchberger(IdealPresentation(ctx, basis), order)
-    assert normal_form(f, gb).terms == _reference_normal_form(f, list(gb.basis), order)
+    remainder = _reference_normal_form(f, list(gb.basis), order)
+    assert normal_form(f, gb).terms == remainder
+    assert gb.contains(f) == (not remainder)
 
 
 def test_groebner_basis_keeps_leading_monomials():
@@ -779,6 +783,36 @@ def test_principal_fedder_module_at_a_large_prime_is_quick():
     assert time.perf_counter() - start < 1.0
 
 
+def _probe_fedder(m):
+    """Count the Fedder check's work through ``m`` (a MonkeyPatch): the
+    generators of every run of the Buchberger core that finished,
+    unpacked, and the ``divide_terms`` calls made outside the core, which
+    are the membership tests of c * g."""
+    import frobsplit.idealtheory as idealtheory
+
+    core, divide = idealtheory._buchberger_core, idealtheory.divide_terms
+    runs, memberships = [], []
+    inside = [0]
+
+    def counted_core(generators, p, pk):
+        inside[0] += 1
+        try:
+            result = core(generators, p, pk)
+        finally:
+            inside[0] -= 1
+        runs.append([pk.unpack_terms(g) for g in generators])
+        return result
+
+    def counted_divide(terms, divisors, p, pk, quotient=None):
+        if not inside[0]:
+            memberships.append(terms)
+        return divide(terms, divisors, p, pk, quotient)
+
+    m.setattr(idealtheory, "_buchberger_core", counted_core)
+    m.setattr(idealtheory, "divide_terms", counted_divide)
+    return runs, memberships
+
+
 def test_fedder_stops_at_the_first_generator_that_fails(monkeypatch):
     import frobsplit.idealtheory as idealtheory
 
@@ -787,30 +821,23 @@ def test_fedder_stops_at_the_first_generator_that_fails(monkeypatch):
 
     for name in ("colon", "intersect", "exact_divide"):
         monkeypatch.setattr(idealtheory, name, built)
-    engine = idealtheory.normal_form
-    calls = []
-
-    def counted(f, G):
-        calls.append(f)
-        return engine(f, G)
-
     ctx = ring(3, "x y")
     I = _ideal(ctx, "x", "y")
     xy2 = TwistedEndo(parse_expr("(x*y)^(p-1)", ctx))
     with monkeypatch.context() as m:
-        m.setattr(idealtheory, "normal_form", counted)
+        runs, memberships = _probe_fedder(m)
         m.setattr(Polynomial, "pow_p_minus_1", built)
-        # 1 * x is not in (x^3, y^3): the first normal form decides.
+        # 1 * x is not in (x^3, y^3): the first membership test decides.
         assert is_compatible(TwistedEndo(ctx.one()), I, "fedder") is False
-        assert len(calls) == 1
-        calls.clear()
+        assert (len(runs), len(memberships)) == (1, 1)
+        runs.clear(), memberships.clear()
         # (xy)^2 * x and (xy)^2 * y both are.
         assert is_compatible(xy2, I, "fedder") is True
-        assert len(calls) == 2
-        calls.clear()
+        assert (len(runs), len(memberships)) == (1, 2)
+        runs.clear(), memberships.clear()
         # (xy)^2 * xy is in ((xy)^3), whose one generator is its own basis.
         assert is_compatible(xy2, _ideal(ctx, "x*y"), "fedder") is True
-        assert len(calls) == 1
+        assert (len(runs), len(memberships)) == (0, 1)
     # (g^[p] : g) = (g^(p-1)) needs no colon.
     assert fedder_module(_ideal(ctx, "x*y+1")).generators
 
@@ -838,27 +865,20 @@ def test_fedder_check_takes_no_roots_and_no_basis_of_the_ideal(data):
     ctx = data.draw(contexts.filter(lambda c: c.p <= 5))
     I = data.draw(ideals(ctx, max_terms=2))
     sigma = TwistedEndo(data.draw(polys(ctx, max_exp=2 * ctx.p - 1, max_terms=3)))
-    engine, roots = idealtheory.buchberger, idealtheory.frobenius_roots
-    bracket = frobenius_power_ideal(I).generators
-    inputs = []
-
-    def only_the_bracket_power(J, order=MonomialOrder.grevlex()):
-        # The basis of I^[p] comes from its own run, never from one of I,
-        # which the finite method builds.
-        inputs.append(J)
-        assert J.generators == bracket
-        return engine(J, order)
+    bracket = [g.terms for g in frobenius_power_ideal(I).generators]
 
     def no_roots(f):
         raise AssertionError("the Fedder check took p-th roots")
 
-    idealtheory.buchberger, idealtheory.frobenius_roots = only_the_bracket_power, no_roots
-    try:
+    with pytest.MonkeyPatch.context() as m:
+        runs, _ = _probe_fedder(m)
+        m.setattr(idealtheory, "frobenius_roots", no_roots)
         verdict = is_compatible(sigma, I, "fedder")
-    finally:
-        idealtheory.buchberger, idealtheory.frobenius_roots = engine, roots
-    # One generator g^p is its own basis: no run at all.
-    assert len(inputs) == (len(I.generators) > 1)
+    # The basis of I^[p] comes from its own run, never from one of I,
+    # which the finite method builds; one generator g^p is its own basis,
+    # and c = 0 lies in every ideal: no run at all.
+    needs_a_basis = len(I.generators) > 1 and not sigma.coeff.is_zero()
+    assert runs == ([bracket] if needs_a_basis else [])
     assert verdict == is_compatible(sigma, I, "finite")
 
 
@@ -890,28 +910,54 @@ def test_fedder_membership_matches_the_intersection_at_larger_primes(data):
 def test_fedder_check_on_the_heaviest_colon_case(monkeypatch):
     # The heaviest case of compat-fedder (seed 7, case #63) by colons,
     # two eliminations; by membership it takes one Buchberger run on I^[p].
-    import frobsplit.idealtheory as idealtheory
-
     ctx = ring(3, "a b c")
     I = _ideal(ctx, "a*b*c + c^3 + 2*a^2 + 2*a*b", "a*b^2 + 2*a*b*c + 1")
+    bracket = [g.terms for g in frobenius_power_ideal(I).generators]
     sections = [ctx.one(), _product_power(I), parse_expr("a^2*b*c^2 + b^5 + 2", ctx)]
     sections.append(parse_expr("a + c", ctx) * sections[1] + parse_expr("b*c", ctx))
-    engine = idealtheory.buchberger
-    calls = []
-
-    def counted(J, order=MonomialOrder.grevlex()):
-        calls.append(J)
-        return engine(J, order)
-
     for section in sections:
         sigma = TwistedEndo(section)
         is_compatible(sigma, I, "both")
         with monkeypatch.context() as m:
-            m.setattr(idealtheory, "buchberger", counted)
+            runs, _ = _probe_fedder(m)
             is_compatible(sigma, I, "fedder")
-        assert len(calls) == 1
-        calls.clear()
+        assert runs == [bracket]
     assert is_compatible(TwistedEndo(sections[1]), I, "fedder") is True
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_packed_fedder_verdict_matches_membership_in_a_basis_of_the_bracket_power(data):
+    ctx = data.draw(contexts)
+    I = data.draw(ideals(ctx, max_gens=3, max_exp=2, max_terms=2))
+    Ip = frobenius_power_ideal(I)
+    if data.draw(st.booleans()):
+        section = data.draw(polys(ctx, max_exp=2 * ctx.p - 1, max_terms=3))
+    else:
+        section = ctx.zero()
+        for g in Ip.generators:
+            section = section + data.draw(polys(ctx, max_exp=1, max_terms=2)) * g
+    G = buchberger(Ip)
+    expected = all(normal_form(section * g, G).is_zero() for g in I.generators)
+    assert is_compatible(TwistedEndo(section), I, "fedder") is expected
+
+
+def test_fedder_check_that_overflows_reruns_wider(monkeypatch):
+    # x^120 + y^3 and y^120 + x^3*y^3 fit 7-bit fields, their S-pairs do not.
+    ctx = ring(3, "x y")
+    I = _ideal(ctx, "x^40 + y", "y^40 + x*y")
+    sigma = TwistedEndo(ctx.one())
+    wider, widths = Packing.wider, []
+
+    def counted(pk):
+        widths.append(pk.bits)
+        return wider(pk)
+
+    with monkeypatch.context() as m:
+        m.setattr(Packing, "wider", counted)
+        verdict = is_compatible(sigma, I, "fedder")
+    assert widths == [7]
+    assert verdict is is_compatible(sigma, I, "finite") is False
 
 
 @settings(max_examples=60, deadline=None)
