@@ -18,13 +18,14 @@ pipeline is deterministic.  On top of it sit the Frobenius bracket power
 I^[p], colon ideals by tag-variable elimination, the colon module
 (I^[p] : I) whose elements are exactly the coefficients of twisted
 endomorphisms compatible with I (Fedder's criterion; (g^[p] : g) is
-(g^(p-1)) for I = (g)), the compatibility check by membership of c * g
-in I^[p] for each generator g, one basis of I^[p] by its own Buchberger
-run and no colon built, all on packed keys, an independent check by
-p-th-root decomposition used to cross-validate it, the existence test
-for compatible splittings on the same decomposition, and nilpotency
-witnesses.  Fedder modules and checks that would be too large are
-refused before anything is built (``FEDDER_TERM_BUDGET``).
+(g^(p-1)) for I = (g)), the compatibility check in two independent
+forms, each on packed keys with a basis of its own (Fedder's, membership
+of c * g in I^[p] for each generator g against a basis of I^[p], with no
+colon built; and the finite one, membership in I of every p-th root of
+c * g against a basis of I, which cross-validates it), the existence
+test for compatible splittings on the same p-th-root decomposition, and
+nilpotency witnesses.  Fedder modules and checks that would be too large
+are refused before anything is built (``FEDDER_TERM_BUDGET``).
 """
 
 from __future__ import annotations
@@ -523,14 +524,18 @@ def is_compatible(
     remainder; no colon is built.  All of it runs on packed keys at one
     width, with no polynomial built in between: g^p and c * g are formed
     on keys, and the whole check reruns wider if a field overflows.
-    That basis is never the Frobenius of ``buchberger(I)``, which
-    "finite" builds, so "both" compares two independent computations.
     method "finite" checks, for every generator g, that every root h_b
     of coeff * g = sum_b x^b * h_b^p lies in I, with no colon computed.
     This is complete: sigma(I) lies in I iff every trace(x^a * coeff * g)
     with a in [0, p-1]^n does, since every polynomial is a combination
-    sum_a r_a^p x^a, and that trace is h_{(p-1)-a}.  method "both" runs
-    the two and raises if they disagree.
+    sum_a r_a^p x^a, and that trace is h_{(p-1)-a}.  It runs on packed
+    keys at one width too: one basis of I by its own Buchberger run (a
+    single g is its own basis), coeff * g formed on keys and unpacked once
+    for its roots, and one division per root, stopping at the first that
+    leaves a remainder; the whole check reruns wider if a field
+    overflows.  The two bases, of I^[p] and of I, come from separate
+    runs on separate generators, so "both" compares two independent
+    computations: it runs the two and raises if they disagree.
     """
     if sigma.context != I.context:
         raise ContextMismatchError("endomorphism and ideal from different rings")
@@ -549,22 +554,28 @@ def is_compatible(
         _check_fedder_budget(I)
         return _fedder_member(sigma.coeff, I)
     if method == "finite":
-        G = buchberger(I)
-        return all(
-            G.contains(h) for g in I.generators for h in frobenius_roots(sigma.coeff * g).values()
-        )
+        return _finite_member(sigma.coeff, I)
     raise ValueError(f"unknown method {method!r}")
+
+
+def _packed_basis(gens: list[dict[int, int]], p: int, pk: Packing) -> list[Divisor]:
+    """A Groebner basis of the ideal of nonzero packed generators, as
+    divisors for ``divide_terms``: one generator is its own, more go
+    through ``_buchberger_core``."""
+    if len(gens) == 1:
+        (g,) = gens
+        return [make_divisor(g, min(g), p, pk)]
+    return _buchberger_core(gens, p, pk)[0]
 
 
 def _fedder_member(c: Polynomial, I: IdealPresentation) -> bool:
     """Does c * g lie in I^[p] for every generator g of the nonzero ideal
     I?  All on grevlex packed keys at one width: each g packed once, g^p
     as the key map base + p * (key - base), a basis of I^[p] by
-    ``_buchberger_core`` on those (a single g^p is its own), c * g by
-    ``packed_product``, and membership as an empty remainder of
-    ``divide_terms``, stopping at the first generator that fails.  The
-    width holds every field of c * g and g^p; an overflow elsewhere
-    reruns the whole check wider."""
+    ``_packed_basis`` on those, c * g by ``packed_product``, and
+    membership as an empty remainder of ``divide_terms``, stopping at the
+    first generator that fails.  The width holds every field of c * g and
+    g^p; an overflow elsewhere reruns the whole check wider."""
     if c.is_zero():
         return True
     p = I.context.p
@@ -574,16 +585,42 @@ def _fedder_member(c: Polynomial, I: IdealPresentation) -> bool:
         base = pk.base
         gens = [pk.pack_terms(g.terms) for g in I.generators]
         bracket = [{base + p * (key - base): v for key, v in g.items()} for g in gens]
-        if len(bracket) == 1:
-            (power,) = bracket
-            divisors = [make_divisor(power, min(power), p, pk)]
-        else:
-            divisors, _ = _buchberger_core(bracket, p, pk)
+        divisors = _packed_basis(bracket, p, pk)
         packed_c = pk.pack_terms(c.terms)
         return not any(divide_terms(packed_product(packed_c, g, base, p), divisors, p, pk) for g in gens)
 
     bits = fit_bits(max(degree(c.terms) + top, p * top))
     return packed_call(packing(GREVLEX.layout(I.context.arity), bits), run)
+
+
+def _finite_member(c: Polynomial, I: IdealPresentation) -> bool:
+    """Does every p-th root h_b of c * g = sum_b x^b * h_b^p lie in the
+    nonzero ideal I, for every generator g?  All on grevlex packed keys
+    at one width: each g packed once, a basis of I by ``_packed_basis``
+    on those, c * g by ``packed_product`` and unpacked once for
+    ``frobenius_roots``, and membership of each packed root as an empty
+    remainder of ``divide_terms``, stopping at the first root that fails.
+    The width holds every field of c * g, and so of its roots and of each
+    g; an overflow elsewhere reruns the whole check wider."""
+    if c.is_zero():
+        return True
+    ctx = I.context
+    p = ctx.p
+
+    def run(pk: Packing) -> bool:
+        base = pk.base
+        gens = [pk.pack_terms(g.terms) for g in I.generators]
+        divisors = _packed_basis(gens, p, pk)
+        packed_c = pk.pack_terms(c.terms)
+        for g in gens:
+            product = Polynomial._raw(ctx, pk.unpack_terms(packed_product(packed_c, g, base, p)))
+            for h in frobenius_roots(product).values():
+                if divide_terms(pk.pack_terms(h.terms), divisors, p, pk):
+                    return False
+        return True
+
+    bits = fit_bits(degree(c.terms) + max(degree(g.terms) for g in I.generators))
+    return packed_call(packing(GREVLEX.layout(ctx.arity), bits), run)
 
 
 @dataclass(frozen=True)

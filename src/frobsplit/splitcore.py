@@ -56,13 +56,14 @@ def frobenius_trace(f: Polynomial) -> Polynomial:
 
 def frobenius_roots(f: Polynomial) -> dict[Monomial, Polynomial]:
     """The p-th-root decomposition f = sum_b x^b * h_b^p over b in [0, p-1]^n:
-    each nonzero h_b by its b, from one divmod per exponent per term.  As
+    each nonzero h_b by its b, with b and the exponent of h_b's term read
+    off each term's exponents by one remainder and one quotient map.  As
     trace(x^a * f) = h_{(p-1)-a}, these are all the traces of f at once."""
     p = f.context.p
+    rem, quo = p.__rmod__, p.__rfloordiv__
     roots: dict[Monomial, dict[Monomial, int]] = {}
     for m, c in f.terms.items():
-        q, b = zip(*(divmod(e, p) for e in m))
-        roots.setdefault(b, {})[q] = c
+        roots.setdefault(tuple(map(rem, m)), {})[tuple(map(quo, m))] = c
     return {b: Polynomial._raw(f.context, terms) for b, terms in roots.items()}
 
 

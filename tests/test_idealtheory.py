@@ -960,6 +960,102 @@ def test_fedder_check_that_overflows_reruns_wider(monkeypatch):
     assert verdict is is_compatible(sigma, I, "finite") is False
 
 
+def _finite_by_roots(sigma, I):
+    """The "finite" verdict unpacked: a basis of I by ``buchberger``, the
+    roots of each c * g by ``frobenius_roots`` and ``GroebnerBasis.contains``
+    on each: the reference for the packed check."""
+    G = buchberger(I)
+    roots = (h for g in I.generators for h in frobenius_roots(sigma.coeff * g).values())
+    return all(map(G.contains, roots))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_packed_finite_verdict_matches_membership_of_the_roots_in_a_basis(data):
+    ctx = data.draw(contexts)
+    I = data.draw(ideals(ctx, max_gens=3, max_exp=2, max_terms=2))
+    if data.draw(st.booleans()):
+        section = data.draw(polys(ctx, max_exp=2 * ctx.p - 1, max_terms=3))
+    else:
+        section = data.draw(polys(ctx, max_exp=1, max_terms=2)) * _product_power(I)
+    sigma = TwistedEndo(section)
+    assert is_compatible(sigma, I, "finite") is _finite_by_roots(sigma, I)
+
+
+def _no_bracket_power(m):
+    """Make every route to I^[p] or to a colon raise, through ``m``."""
+    import frobsplit.idealtheory as idealtheory
+
+    def built(*args):
+        raise AssertionError("the finite check used the bracket power or a colon")
+
+    for name in ("frobenius_power_ideal", "colon", "intersect"):
+        m.setattr(idealtheory, name, built)
+    m.setattr(Polynomial, "frobenius", built)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_finite_check_takes_a_basis_of_the_ideal_and_nothing_of_the_bracket(data):
+    ctx = data.draw(contexts.filter(lambda c: c.p <= 5))
+    I = data.draw(ideals(ctx, max_terms=2))
+    sigma = TwistedEndo(data.draw(polys(ctx, max_exp=2 * ctx.p - 1, max_terms=3)))
+    with pytest.MonkeyPatch.context() as m:
+        runs, _ = _probe_fedder(m)
+        _no_bracket_power(m)
+        verdict = is_compatible(sigma, I, "finite")
+    # The basis of I comes from its own run, never from one of I^[p],
+    # which the Fedder method builds; one generator g is its own basis,
+    # and c = 0 lies in every ideal: no run at all.
+    needs_a_basis = len(I.generators) > 1 and not sigma.coeff.is_zero()
+    assert runs == ([[g.terms for g in I.generators]] if needs_a_basis else [])
+    assert verdict == is_compatible(sigma, I, "fedder")
+
+
+def test_finite_check_stops_at_the_first_root_outside_the_ideal(monkeypatch):
+    ctx = ring(3, "x y")
+    I = _ideal(ctx, "x", "y")
+    with monkeypatch.context() as m:
+        runs, memberships = _probe_fedder(m)
+        _no_bracket_power(m)
+        # (1 + xy) * x = x + x^2*y has the root 1 twice, and (1 + xy) * y
+        # has it too; 1 is not in (x, y), and the first membership decides.
+        assert is_compatible(TwistedEndo(parse_expr("1 + x*y", ctx)), I, "finite") is False
+        assert (len(runs), len(memberships)) == (1, 1)
+        runs.clear(), memberships.clear()
+        # (xy)^2 * x = x^3 * y^2 and (xy)^2 * y have the roots x and y.
+        xy2 = TwistedEndo(parse_expr("(x*y)^(p-1)", ctx))
+        assert is_compatible(xy2, I, "finite") is True
+        assert (len(runs), len(memberships)) == (1, 2)
+        runs.clear(), memberships.clear()
+        # (xy)^2 * xy has the one root xy, and (xy) is its own basis.
+        assert is_compatible(xy2, _ideal(ctx, "x*y"), "finite") is True
+        assert (len(runs), len(memberships)) == (0, 1)
+        runs.clear(), memberships.clear()
+        # c = 0 is decided before anything is packed.
+        assert is_compatible(TwistedEndo(ctx.zero()), I, "finite") is True
+        assert (len(runs), len(memberships)) == (0, 0)
+
+
+def test_finite_check_that_overflows_reruns_wider(monkeypatch):
+    # x^100 + y and y^100 + x fit 7-bit fields; the lcm of their leading
+    # monomials, of degree 200, does not.
+    ctx = ring(3, "x y")
+    I = _ideal(ctx, "x^100 + y", "y^100 + x")
+    sigma = TwistedEndo(ctx.one())
+    wider, widths = Packing.wider, []
+
+    def counted(pk):
+        widths.append(pk.bits)
+        return wider(pk)
+
+    with monkeypatch.context() as m:
+        m.setattr(Packing, "wider", counted)
+        verdict = is_compatible(sigma, I, "finite")
+    assert widths == [7]
+    assert verdict is is_compatible(sigma, I, "fedder") is False
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_colon_generators_are_a_grevlex_groebner_basis(data):
