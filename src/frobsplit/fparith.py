@@ -446,21 +446,16 @@ class Polynomial:
         at a small p: for the 1379-term product of the 4x4 nested minors
         at p = 3 it is 1379 * 1380 / 2 term products against 61824 * 1379
         updates, measured at 0.47 s against 53 s (2 cores, Python 3.11),
-        and at p = 2 it costs nothing.  A one-term f is raised
-        directly, with no estimate.  Raises ZeroDivisionError for f = 0.
+        and at p = 2 it costs nothing.  A one-term f, or any f at p = 2,
+        is raised directly, with no degree read.  Raises ZeroDivisionError
+        for f = 0.
         """
-        if len(self.terms) != 1 and self.pow_p_minus_1_cost()[1]:
-            return exact_divide(self.frobenius(), self)
-        return self ** (self.context.p - 1)
-
-    def pow_p_minus_1_cost(self) -> tuple[float, bool]:
-        """``log_p_minus_1_cost`` of this f: the log of the estimated cost
-        of ``pow_p_minus_1``, and whether the route it picks divides.
-        Raises ZeroDivisionError for f = 0."""
         t, p = len(self.terms), self.context.p
         # Only an estimate reads the degree, which scans every term.
         degree = self.total_degree() if t > 1 and p > 2 else 0
-        return log_p_minus_1_cost(t, self.context.arity, degree, p)
+        if log_p_minus_1_cost(t, self.context.arity, degree, p)[1]:
+            return exact_divide(self.frobenius(), self)
+        return self ** (p - 1)
 
     # -- comparison and rendering ----------------------------------------
 

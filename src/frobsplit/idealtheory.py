@@ -7,8 +7,7 @@ is a packed int key (``fparith.Packing``, laid out per order by
 one int addition, divisibility is a guard-bit test, and exponent tuples
 come back only in the result.  Every basis element's leading monomial is
 found once, when the element is added.  A ``GroebnerBasis`` keeps its
-elements packed in one slot, filled on first use or handed over by
-``buchberger`` with the divisors it reduced with, so a normal form packs
+elements packed in one slot, filled on first use, so a normal form packs
 only the polynomial reduced; its leading monomials are read from there.
 S-pairs wait on a heap keyed by the order key of their lcm (the normal
 selection strategy, ties broken by index), pruned by the Gebauer-Moller
@@ -24,8 +23,8 @@ of c * g in I^[p] for each generator g against a basis of I^[p], with no
 colon built; and the finite one, membership in I of every p-th root of
 c * g against a basis of I, which cross-validates it), the existence
 test for compatible splittings on the same p-th-root decomposition, and
-nilpotency witnesses.  Fedder modules and checks that would be too large
-are refused before anything is built (``FEDDER_TERM_BUDGET``).
+nilpotency witnesses.  Fedder modules that would be too large are
+refused before anything is built (``FEDDER_TERM_BUDGET``).
 """
 
 from __future__ import annotations
@@ -34,6 +33,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial, reduce
 from heapq import heappop, heappush
 from math import log, prod
+from operator import mul
 
 from .fparith import (
     ContextMismatchError,
@@ -46,7 +46,6 @@ from .fparith import (
     RingContext,
     degree,
     divide_terms,
-    embed,
     exact_divide,
     fit_bits,
     grevlex_desc_key,
@@ -147,8 +146,8 @@ def ideal(*generators: Polynomial) -> IdealPresentation:
 class GroebnerBasis:
     """A Groebner basis, its elements packed once in one slot: ``packed``,
     a packing at the narrowest width that fits them and their divisors for
-    ``divide_terms``, filled on first use or by ``buchberger`` with the
-    divisors it reduced with.  Leading monomials are the least packed keys.
+    ``divide_terms``, filled on first use.  Leading monomials are the least
+    packed keys.
     """
 
     context: RingContext
@@ -283,10 +282,7 @@ def _buchberger(I: IdealPresentation, order: MonomialOrder, pk: Packing) -> Groe
         for m, c in tail:
             terms[unpack(m)] = c
         basis.append(Polynomial._raw(ctx, terms))
-    G = GroebnerBasis(ctx, order, tuple(basis))
-    # Fill the cached slot with the divisors reduced with: no packing again.
-    vars(G)["packed"] = pk, divisors
-    return G
+    return GroebnerBasis(ctx, order, tuple(basis))
 
 
 def _buchberger_core(
@@ -410,38 +406,41 @@ def frobenius_power_ideal(I: IdealPresentation) -> IdealPresentation:
     return IdealPresentation(I.context, tuple(g.frobenius() for g in I.generators))
 
 
-def _tagged_context(ctx: RingContext) -> RingContext:
-    tag = "_t"
-    k = 0
-    while tag in ctx.variables:
-        k += 1
-        tag = f"_t{k}"
-    return RingContext(ctx.prime, (tag,) + ctx.variables)
-
-
 def intersect(A: IdealPresentation, B: IdealPresentation) -> IdealPresentation:
     """Ideal intersection via tag-variable elimination.
 
-    A cap B is the elimination ideal of t*A + (1-t)*B with the tag t
-    ordered before everything else.
+    A cap B is the elimination ideal of t*A + (1-t)*B under elim(1), the
+    tag t ordered before every variable.  The generators are packed into
+    that order's keys with t as variable 0, so t*a is a's keys plus t's
+    weight; the basis elements whose leading monomial is free of t are
+    free of it, and only they are unpacked.
     """
     if A.context != B.context:
         raise ContextMismatchError("ideals from different rings")
     ctx = A.context
     if A.is_zero_ideal() or B.is_zero_ideal():
         return IdealPresentation(ctx, ())
-    ext = _tagged_context(ctx)
-    shift = list(range(1, ext.arity))
-    t = ext.variable(0)
-    one_minus_t = ext.one() - t
-    gens = [t * embed(g, ext, shift) for g in A.generators]
-    gens += [one_minus_t * embed(g, ext, shift) for g in B.generators]
-    G = buchberger(IdealPresentation(ext, gens), MonomialOrder.elim(1))
-    kept = []
-    for g in G.basis:
-        if all(m[0] == 0 for m in g.terms):
-            kept.append(Polynomial(ctx, {m[1:]: c for m, c in g.terms.items()}))
-    return IdealPresentation(ctx, kept)
+    p = ctx.p
+
+    def run(pk: Packing) -> list[Polynomial]:
+        tag, base, weights = pk.weights[0], pk.base, pk.weights[1:]
+        gens = [{sum(map(mul, m, weights), base + tag): c for m, c in g.terms.items()} for g in A.generators]
+        for g in B.generators:
+            terms = {sum(map(mul, m, weights), base): c for m, c in g.terms.items()}
+            gens.append(terms | {key + tag: p - c for key, c in terms.items()})
+        divisors, leads = _buchberger_core(gens, p, pk)
+        kept = []
+        for lt, (_, _, _, tail) in zip(leads, divisors):
+            if not lt[0]:
+                terms = {lt[1:]: 1}
+                for m, c in tail:
+                    terms[pk.unpack(m)[1:]] = c
+                kept.append(Polynomial._raw(ctx, terms))
+        return kept
+
+    top = max(degree(g.terms) for g in A.generators + B.generators)
+    pk = packing(MonomialOrder.elim(1).layout(ctx.arity + 1), fit_bits(1 + top))
+    return IdealPresentation(ctx, packed_call(pk, run))
 
 
 def colon(J: IdealPresentation, g: Polynomial) -> IdealPresentation:
@@ -458,8 +457,9 @@ def colon(J: IdealPresentation, g: Polynomial) -> IdealPresentation:
 
 FEDDER_TERM_BUDGET = 10**5
 """Terms allowed, by estimate, in (g_1 * ... * g_r)^(p-1), which lies in
-the Fedder module of (g_1, ..., g_r).  It bounds the size of that module,
-not the time of the colons that build it: on the 2x2 minors of a generic
+the Fedder module of (g_1, ..., g_r); only ``fedder_module`` builds that
+module, and so only it is bounded.  It bounds the module's size, not the
+time of the colons that build it: on the 2x2 minors of a generic
 2x3 matrix, ``exists_compatible_splitting`` takes 0.25 s at p = 7, 2.3 s
 at p = 11 and 5.5 s at p = 13, and p = 17 is refused (one core of a
 2-core Intel Xeon, Python 3.11)."""
@@ -535,7 +535,8 @@ def is_compatible(
     leaves a remainder; the whole check reruns wider if a field
     overflows.  The two bases, of I^[p] and of I, come from separate
     runs on separate generators, so "both" compares two independent
-    computations: it runs the two and raises if they disagree.
+    computations: it runs the two and raises if they disagree.  Neither
+    builds a Fedder module, so ``FEDDER_TERM_BUDGET`` does not apply.
     """
     if sigma.context != I.context:
         raise ContextMismatchError("endomorphism and ideal from different rings")
@@ -551,7 +552,6 @@ def is_compatible(
     if I.is_zero_ideal():
         return True
     if method == "fedder":
-        _check_fedder_budget(I)
         return _fedder_member(sigma.coeff, I)
     if method == "finite":
         return _finite_member(sigma.coeff, I)

@@ -199,9 +199,10 @@ def matrix_factors(ctx: RingContext, n: int) -> list[Polynomial]:
 
 
 MATRIX_PRODUCT_BUDGET = 3 * 10**6
-"""Term products allowed in one multiplication of the nested minors (at
-p = 2) or of their powers (at p > 2), and estimated for one minor's
-f^(p-1): a few seconds.  Measured in process on 2 cores, Python 3.11:
+"""Term products allowed in one multiplication of the powers of the
+nested minors, and estimated for one minor's f^(p-1): a few seconds.  At
+p = 2 each power is the minor itself.  Measured in process on 2 cores,
+Python 3.11:
 
 - p = 2: the 5x5 steps take at most 767,136 (the section in 2.9 s); the
   6x6 ones reach 5.8 million by the sixth minor.
@@ -223,32 +224,31 @@ def matrix_section_coefficient(ctx: RingContext, n: int) -> Polynomial:
     Every minor is packed once (``fparith.Packing``), at the width of the
     section's degree (p-1)n^2, where no field can overflow; for n >= 2 it
     also holds the degree pk of a k x k minor's f^p, which the division
-    route divides.  Each is
-    raised to the p-1 on packed keys by the route ``pow_p_minus_1`` would
-    pick (``fparith.packed_p_minus_1``), the powers are multiplied in
-    order, and the section is unpacked once.  At p = 2 the section is the
-    product itself, and no power is taken.
+    route divides.  Each is raised to the p-1 on packed keys by the route
+    ``pow_p_minus_1`` would pick (``fparith.packed_p_minus_1``; at p = 2
+    the minor itself), the powers are multiplied in order, and the
+    section is unpacked once.
 
     Raises ValueError before any minor is built when one minor's f^(p-1),
     from its k! terms of degree k, is estimated at more than
     ``MATRIX_PRODUCT_BUDGET`` term products (``fparith.log_p_minus_1_cost``),
-    and before a multiplication of the product so far by the next power
-    would take more.  At p = 2 that count is taken from the k! terms of a
-    k x k minor before it is built, as for n = 6.
+    and, once a minor's power is built, before a multiplication of the
+    product so far by it would take more.
     """
     p = ctx.p
     blocks = _nested_blocks(ctx, n)
-    divides = {k: _minor_power_route(ctx.arity, k, p) for k in range(1, n + 1)} if p > 2 else {}
+    divides = {k: _minor_power_route(ctx.arity, k, p) for k in range(1, n + 1)}
     pk = packing(grevlex_layout(ctx.arity), fit_bits((p - 1) * n * n))
     packed = {pk.base: 1}
     for block in blocks:
-        k = len(block)
-        if p == 2:
-            _check_products(len(packed) * factorial(k), "its nested minors")
         power = pk.pack_terms(minor(ctx, n, block, block).terms)
-        if p > 2:
-            power = packed_p_minus_1(power, divides[k], pk, p)
-            _check_products(len(packed) * len(power), "the powers of its nested minors")
+        power = packed_p_minus_1(power, divides[len(block)], pk, p)
+        products = len(packed) * len(power)
+        if products > MATRIX_PRODUCT_BUDGET:
+            raise ValueError(
+                f"matrix too large: multiplying the powers of its nested minors takes"
+                f" {products} term products, over {MATRIX_PRODUCT_BUDGET}"
+            )
         packed = packed_product(packed, power, pk.base, p)
     return Polynomial._raw(ctx, pk.unpack_terms(packed))
 
@@ -264,14 +264,6 @@ def _minor_power_route(arity: int, k: int, p: int) -> bool:
             f" {MATRIX_PRODUCT_BUDGET} estimated term products"
         )
     return divides
-
-
-def _check_products(products: int, what: str) -> None:
-    if products > MATRIX_PRODUCT_BUDGET:
-        raise ValueError(
-            f"matrix too large: multiplying {what} takes {products}"
-            f" term products, over {MATRIX_PRODUCT_BUDGET}"
-        )
 
 
 def render_truncated(f: Polynomial, limit: int = 40) -> str:

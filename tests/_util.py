@@ -15,7 +15,9 @@ from frobsplit import (
     ResidueChain,
     RingContext,
     VanishingResidueError,
+    buchberger,
     certify_chain,
+    embed,
     ring,
 )
 
@@ -65,6 +67,27 @@ def leading(f: Polynomial, order: MonomialOrder) -> tuple[tuple, int]:
     """Leading monomial of f under ``order`` and its coefficient."""
     m = max(f.terms, key=order_key(order))
     return m, f.terms[m]
+
+
+def tagged_intersect(A: IdealPresentation, B: IdealPresentation) -> IdealPresentation:
+    """Reference ideal intersection through an auxiliary ring: A cap B is
+    the elimination ideal of t*A + (1-t)*B, with a tag t named apart from
+    every variable and ordered before them (``MonomialOrder.elim(1)``)."""
+    ctx = A.context
+    if A.is_zero_ideal() or B.is_zero_ideal():
+        return IdealPresentation(ctx, ())
+    tag, k = "_t", 0
+    while tag in ctx.variables:
+        k += 1
+        tag = f"_t{k}"
+    ext = RingContext(ctx.prime, (tag,) + ctx.variables)
+    shift = list(range(1, ext.arity))
+    t = ext.variable(0)
+    gens = [t * embed(g, ext, shift) for g in A.generators]
+    gens += [(ext.one() - t) * embed(g, ext, shift) for g in B.generators]
+    G = buchberger(IdealPresentation(ext, gens), MonomialOrder.elim(1))
+    kept = [g for g in G.basis if all(m[0] == 0 for m in g.terms)]
+    return IdealPresentation(ctx, [Polynomial(ctx, {m[1:]: c for m, c in g.terms.items()}) for g in kept])
 
 
 def schoolbook_mul(a: dict, b: dict, p: int) -> dict:

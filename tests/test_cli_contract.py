@@ -1,6 +1,8 @@
 """CLI output against recorded golden files, and the exit-code contract:
 0 pass, 1 verdict mismatch, 2 usage or parse error, for malformed input too."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -9,6 +11,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import frobsplit
 from frobsplit.cli import build_parser, main
@@ -169,6 +173,16 @@ def test_formerly_refused_calls_are_decided(argv, out, capsys):
     assert capsys.readouterr() == (out, "")
 
 
+# Each was refused as "Fedder module too large", though the Fedder check
+# builds no Fedder module: its basis of I^[p] repeats Buchberger on I.
+@pytest.mark.parametrize("p", ["1009", "10007", "2305843009213693951"])
+def test_compat_at_a_large_prime_is_decided_at_once(p, capsys):
+    start = time.perf_counter()
+    assert main(["compat", "-p", p, "--vars", "x,y", "x*y", "--ideal", "x*y+x+1"]) == 0
+    assert capsys.readouterr() == ("[PASS] compat.compatible: verdict=False\n", "")
+    assert time.perf_counter() - start < 1.0
+
+
 # A valid call of every subcommand but compat, which reads --method.
 BASE_ARGV = {
     "split-check": ["split-check", "--vars", "x", "x"],
@@ -212,7 +226,6 @@ def test_flags_a_subcommand_does_not_read_are_rejected(command, flag, capsys):
         (["split-check", "-p", "3", "--vars", "x,y", "(x+y)^(10^6)"], "power too large"),
         (["exists-split", "-p", "1009", "--vars", "x,y", "--ideal", "x*y+x+1"], "Fedder module too large"),
         (["exists-split", "-p", "10007", "--vars", "x,y", "--ideal", "x*y+x+1"], "Fedder module too large"),
-        (["compat", "-p", "1009", "--vars", "x,y", "x*y", "--ideal", "x*y+x+1"], "Fedder module too large"),
     ],
 )
 def test_oversized_or_negative_input_is_a_quick_usage_error(argv, message, capsys):
@@ -252,3 +265,73 @@ def test_repeated_calls_in_one_process_give_the_same_output(capsys):
     assert first == again
     assert first[: len(GOLDEN)] == [(r["stdout"], r["stderr"], r["exit"]) for r in GOLDEN]
     assert all(code == 2 and "usage: frobsplit" in err for _, err, code in first[len(GOLDEN) :])
+
+
+# -- the exit-code contract as a property --------------------------------------
+
+VALID = ["x", "x*y + 1", "x + y + 1", "x*y + x + 1", "(x*y)^(p-1)", "(x*y)^(p-1) + x", "x^2*y + y^3", "0", "2"]
+MALFORMED = ["x +", "x^²", "(" * 200 + "x" + ")" * 200, "x */ y", "", "w", "x^-1", "1/0", "x^(1/2)"]
+OVERSIZED = ["(x+y)^(10^6)", "x^(2^(2^40))", "(x+y+1)^(2^20)"]
+# Valid entries are repeated so that more draws are decided.
+EXPRESSIONS = 3 * VALID + MALFORMED + OVERSIZED
+# Primes stay small enough for a Buchberger run whose division steps grow
+# with p: reducing (xy)^(p-1) by xy + 1 takes p - 1 of them.
+PRIMES = 2 * ["2", "3", "5", "7", "1009", "10007"] + ["4", "1", "0", "-3", "three"]
+
+exprs = st.sampled_from(EXPRESSIONS)
+ring_flags = st.tuples(
+    st.sampled_from(3 * [[]] + 2 * [["--format", "json"]] + [["--format", "xml"]]),
+    st.sampled_from(PRIMES).map(lambda p: ["-p", p]),
+    st.sampled_from(["x,y", "x,y", "x,y", "x,y,z", "x", "", "x,x", "p"]).map(lambda v: ["--vars", v]),
+).map(lambda flags: [arg for flag in flags for arg in flag])
+ideal = st.lists(exprs, min_size=1, max_size=3).map(lambda gens: ["--ideal", *gens])
+method = st.sampled_from([[], ["--method", "fedder"], ["--method", "finite"], ["--method", "both"]])
+order = st.sampled_from(["x,y", "y,x", "x", "z", ""]).map(lambda v: ["--order", v])
+
+
+def _command(name, *parts):
+    return st.tuples(*parts).map(lambda ps: [name] + [arg for part in ps for arg in part])
+
+
+def _one(strategy):
+    return strategy.map(lambda value: [value])
+
+
+# --size 5 at p = 2 is a valid section that takes seconds, and so left out.
+matrix_sizes = st.tuples(st.integers(-1, 12), st.sampled_from(PRIMES)).filter(lambda sp: sp != (5, "2"))
+
+ARGVS = st.one_of(
+    _command("split-check", ring_flags, _one(exprs)),
+    _command("compat", ring_flags, method, _one(exprs), ideal),
+    _command("fedder", ring_flags, ideal),
+    _command("exists-split", ring_flags, ideal),
+    _command("d-split", ring_flags, _one(exprs), _one(exprs).map(lambda e: ["--divisor", *e])),
+    _command("certify", ring_flags, _one(exprs), order),
+    _command("search-chain", ring_flags, _one(exprs)),
+    _command("p1", ring_flags, _one(exprs)),
+    matrix_sizes.map(lambda sp: ["matrix-demo", "--size", str(sp[0]), "-p", sp[1]]),
+    st.sampled_from(["2,3", "3,5,7", "-3,5", "0", "x", "", "4,6"]).map(lambda g: ["semigroup", "--gens", g]),
+    st.sampled_from([["corpus", "run"], ["corpus", "run", "no-such-corpus.json"], ["corpus"]]),
+    st.lists(st.sampled_from(["-p", "3", "--bogus", "x", "run", "--vars"]), max_size=3),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=ARGVS, extra=st.sampled_from(6 * [[]] + [["--bogus"], ["-p"]]))
+def test_every_argv_keeps_the_exit_code_contract(argv, extra):
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv + extra)
+        except SystemExit as exc:
+            code = exc.code
+    elapsed = time.perf_counter() - start
+    err = err.getvalue()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        lines = err.splitlines()
+        usage = lines and lines[0].startswith("usage: frobsplit") and ": error: " in lines[-1]
+        assert usage or (len(lines) == 1 and lines[0].startswith("error: ")), err
+        assert elapsed < 2.0

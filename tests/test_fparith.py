@@ -271,9 +271,9 @@ def test_pow_p_minus_1_at_p_2_is_f_without_an_estimate(monkeypatch):
         raise AssertionError("f^(p-1) estimated at p = 2")
 
     monkeypatch.setattr(fparith, "log_power_terms", refuse)
+    monkeypatch.setattr(Polynomial, "total_degree", refuse)
     ctx = ring(2, "x y z")
     f = parse_expr("x*y + y*z^3 + x + 1", ctx)
-    assert f.pow_p_minus_1_cost() == (-math.inf, False)
     assert f.pow_p_minus_1() is f
 
 
@@ -468,9 +468,9 @@ def test_pow_p_minus_1_raises_one_term_f_without_an_estimate(monkeypatch):
 
     monkeypatch.setattr(fparith, "log_power_terms", refuse)
     monkeypatch.setattr(fparith, "exact_divide", refuse)
+    monkeypatch.setattr(Polynomial, "total_degree", refuse)
     ctx = ring(5, "x y")
     f = ctx.monomial((1, 2), 2)
-    assert f.pow_p_minus_1_cost() == (0.0, False)
     assert f.pow_p_minus_1() == ctx.monomial((4, 8), 16)
 
 

@@ -33,7 +33,7 @@ from frobsplit import (
     s_polynomial,
 )
 from frobsplit.fparith import Packing, fit_bits, monomial_divides, packing
-from _util import contexts, ideals, leading, order_key, polys, rand_poly, wide_contexts
+from _util import contexts, ideals, leading, order_key, polys, rand_poly, tagged_intersect, wide_contexts
 
 ORDERS = [MonomialOrder.lex(), MonomialOrder.grevlex(), MonomialOrder.elim(1)]
 
@@ -160,6 +160,38 @@ def test_intersect_monomial_oracle():
     ctx = ring(2, "x y")
     got = intersect(_ideal(ctx, "x"), _ideal(ctx, "y"))
     assert _same_ideal(got, _ideal(ctx, "x*y"))
+
+
+# Rings whose variables take the reference's first tag names, so that it
+# must name its tag apart.
+tagged_contexts = st.builds(
+    ring, st.sampled_from([2, 3, 5, 7]), st.sampled_from(["x", "x y", "x y z", "_t x", "_t _t1 y"])
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_intersect_matches_the_tagged_ring_reference(data):
+    import frobsplit.fparith as fparith
+    import frobsplit.idealtheory as idealtheory
+
+    ctx = data.draw(tagged_contexts)
+    A, B = (
+        data.draw(st.one_of(st.just(IdealPresentation(ctx, ())), ideals(ctx, max_gens=3, max_exp=3)))
+        for _ in range(2)
+    )
+    expected = tagged_intersect(A, B).generators
+
+    def refuse(*args):
+        raise AssertionError("intersect built an auxiliary ring")
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(fparith, "embed", refuse)
+        m.setattr(idealtheory, "embed", refuse, raising=False)
+        m.setattr(idealtheory, "buchberger", refuse)
+        got = intersect(A, B).generators
+    # The same polynomials in the same order, their terms too.
+    assert [list(g.terms.items()) for g in got] == [list(g.terms.items()) for g in expected]
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -485,8 +517,8 @@ def test_large_prime_fedder_module_is_refused_before_it_is_built(p, monkeypatch)
     start = time.perf_counter()
     with pytest.raises(ValueError, match="Fedder module too large"):
         exists_compatible_splitting(I)
-    with pytest.raises(ValueError, match="Fedder module too large"):
-        is_compatible(TwistedEndo(ctx.one()), I)
+    # The compatibility check builds no Fedder module: it is decided.
+    assert is_compatible(TwistedEndo(ctx.one()), I) is False
     assert time.perf_counter() - start < 1.0
 
 
@@ -642,21 +674,6 @@ def test_normal_forms_widen_only_when_needed(monkeypatch):
         assert normal_form(f, G).terms == _reference_normal_form(f, basis, order)
     assert widths == [7, 7, 15, 7, 15, 7]
     assert G.packed[0].bits == 7
-
-
-def test_buchberger_hands_its_divisors_to_the_basis(monkeypatch):
-    import frobsplit.idealtheory as idealtheory
-
-    ctx = ring(3, "x y z")
-    G = buchberger(_ideal(ctx, "x^2+y", "x*y+z", "2*y^2+x*z"))
-    made = []
-    make = idealtheory.make_divisor
-    monkeypatch.setattr(idealtheory, "make_divisor", lambda *args: made.append(args) or make(*args))
-    assert G.contains(parse_expr("x*(x^2+y) + z*(x*y+z)", ctx))
-    assert not G.contains(parse_expr("x", ctx))
-    assert made == []
-    assert G.packed == GroebnerBasis(ctx, G.order, G.basis).packed
-    assert made
 
 
 def _assert_groebner_by_max_scan(G: GroebnerBasis, I: IdealPresentation) -> None:
@@ -845,16 +862,21 @@ def test_fedder_stops_at_the_first_generator_that_fails(monkeypatch):
 @pytest.mark.parametrize("method", ["fedder", "both"])
 @pytest.mark.parametrize("gens", [["x*y+x+1"], ["x*y+x+1", "x+y"]])
 def test_large_prime_fedder_check_is_refused_before_any_colon(method, gens, monkeypatch):
+    # These checks were refused by the Fedder module's budget, though they
+    # build no module.  They are decided at once now, still with no colon,
+    # bracket-power ideal, Buchberger run or exact division built.
     import frobsplit.idealtheory as idealtheory
 
     def built(*args):
-        raise AssertionError("built before the budget check")
+        raise AssertionError("the Fedder check built a colon")
 
     for name in ("colon", "frobenius_power_ideal", "buchberger", "exact_divide"):
         monkeypatch.setattr(idealtheory, name, built)
     ctx = ring(1009, "x y")
-    with pytest.raises(ValueError, match="Fedder module too large"):
-        is_compatible(TwistedEndo(ctx.one()), _ideal(ctx, *gens), method)
+    sigma, I = TwistedEndo(ctx.one()), _ideal(ctx, *gens)
+    start = time.perf_counter()
+    assert is_compatible(sigma, I, method) is is_compatible(sigma, I, "finite") is False
+    assert time.perf_counter() - start < 1.0
 
 
 @settings(max_examples=40, deadline=None)

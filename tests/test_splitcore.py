@@ -482,7 +482,7 @@ def test_matrix_demo_oversized_powers_are_refused_in_process(size, p, capsys):
     assert time.perf_counter() - start < 2
 
 
-_STEP_SIX = "multiplying its nested minors takes 5843520 term products, over 3000000"
+_STEP_SIX = "multiplying the powers of its nested minors takes 5843520 term products, over 3000000"
 
 
 @pytest.mark.parametrize(
