@@ -258,7 +258,7 @@ class Polynomial:
         for m, c in terms.items():
             if len(m) != n:
                 raise ValueError(f"exponent tuple {m} has wrong arity for {context.variables}")
-            if any(e < 0 for e in m):
+            if m and min(m) < 0:
                 raise ValueError(f"negative exponent in {m}")
             c %= p
             if c:
@@ -282,7 +282,7 @@ class Polynomial:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return all(all(e == 0 for e in m) for m in self.terms)
+        return not any(map(any, self.terms))
 
     def constant_value(self) -> Coefficient:
         """The value as an element of F_p; raises if not constant."""
@@ -296,9 +296,7 @@ class Polynomial:
 
     def total_degree(self) -> int:
         """Maximum term degree; the zero polynomial reports -1."""
-        if not self.terms:
-            return -1
-        return max(sum(m) for m in self.terms)
+        return degree(self.terms) if self.terms else -1
 
     def homogeneous_degree(self) -> int | None:
         """The common total degree of all terms, or None if mixed.
@@ -306,7 +304,7 @@ class Polynomial:
         The zero polynomial is homogeneous of every degree and reports 0;
         check ``is_zero`` first if the distinction matters.
         """
-        degrees = {sum(m) for m in self.terms}
+        degrees = set(map(sum, self.terms))
         if not degrees:
             return 0
         if len(degrees) == 1:
@@ -483,7 +481,7 @@ class Polynomial:
 def term_str(context: RingContext, m: Monomial, c: int) -> str:
     """Canonical rendering of one term, e.g. ``2*x^5`` or ``x^3*y^2``."""
     factors = []
-    if c != 1 or all(e == 0 for e in m):
+    if c != 1 or not any(m):
         factors.append(str(c))
     for name, e in zip(context.variables, m):
         if e == 1:

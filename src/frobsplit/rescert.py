@@ -12,13 +12,16 @@ generated here as well.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, permutations
 from math import factorial, log
+from operator import getitem
 
 from .fparith import (
     Coefficient,
     Monomial,
     NotDivisibleError,
+    Packing,
     Polynomial,
     RingContext,
     fit_bits,
@@ -50,31 +53,38 @@ def residue_step(f: Polynomial, var: int) -> Polynomial:
     """Residue of f along x_var = 0: f / x_var^(p-1) evaluated there.
 
     Dividing by a monomial is a shift of exponents, so this is one pass
-    over the terms: those with exponent exactly p-1 in x_var survive with
-    that exponent set to 0.  Raises NotDivisibleError, whose remainder is
-    the terms of exponent below p-1, when x_var^(p-1) does not divide f
-    (the endomorphism is not compatible with that hyperplane) and
+    over the terms (``_residue_terms``): those with exponent exactly p-1
+    in x_var survive with that exponent set to 0.  Raises
+    NotDivisibleError when x_var^(p-1) does not divide f (the
+    endomorphism is not compatible with that hyperplane), with the terms
+    of exponent below p-1 as its remainder, gathered only then, and
     VanishingResidueError when the result is zero.
     """
     ctx = f.context
     if not 0 <= var < ctx.arity:
         raise IndexError(f"variable index {var} out of range")
     k = ctx.p - 1
-    result: dict[Monomial, int] = {}
-    short: dict[Monomial, int] = {}
-    for m, c in f.terms.items():
-        e = m[var]
-        if e < k:
-            short[m] = c
-        elif e == k:
-            result[m[:var] + (0,) + m[var + 1 :]] = c
+    result = _residue_terms(f.terms, var, k)
+    if result is not None:
+        return Polynomial._raw(ctx, result)
+    short = {m: c for m, c in f.terms.items() if m[var] < k}
     if short:
         raise NotDivisibleError("division left a nonzero remainder", Polynomial._raw(ctx, short))
-    if not result:
-        raise VanishingResidueError(
-            f"residue along {ctx.variables[var]} = 0 vanishes"
-        )
-    return Polynomial._raw(ctx, result)
+    raise VanishingResidueError(f"residue along {ctx.variables[var]} = 0 vanishes")
+
+
+def _residue_terms(terms: dict[Monomial, int], var: int, k: int) -> dict[Monomial, int] | None:
+    """The terms of exponent exactly k in x_var, with that exponent set to
+    0; None as soon as a term of exponent below k is met, or when none is
+    left."""
+    result: dict[Monomial, int] = {}
+    for m, c in terms.items():
+        e = m[var]
+        if e < k:
+            return None
+        if e == k:
+            result[m[:var] + (0,) + m[var + 1 :]] = c
+    return result or None
 
 
 def certify_chain(f: Polynomial, order: list[int] | tuple[int, ...]) -> ResidueChain:
@@ -106,25 +116,28 @@ def search_chain(f: Polynomial) -> ResidueChain | None:
     term (x_1 ... x_n)^(p-1) survives every step, and every chain ends in
     its coefficient, so when a chain exists no step vanishes.  So this is
     the first chain a depth-first search over orders in index order finds,
-    reached with the same tries, and when that search would backtrack no
-    chain exists.  Only coordinate hyperplanes are tried, so sections
-    whose coefficient has no coordinate-power factor are missed even when
-    they do span a splitting (the nodal cubic is the standard miss).
+    and when that search would backtrack no chain exists.  Each try is one
+    pass of ``_residue_terms``, and a failing one stops at its first term
+    of exponent below p-1, with no exception and no remainder built.
+    Only coordinate hyperplanes are tried, so sections whose coefficient
+    has no coordinate-power factor are missed even when they do span a
+    splitting (the nodal cubic is the standard miss).
     """
-    remaining = list(range(f.context.arity))
+    ctx = f.context
+    k = ctx.p - 1
+    remaining = list(range(ctx.arity))
     steps: list[tuple[int, Polynomial]] = []
     current = f
     while remaining:
         for var in remaining:
-            try:
-                current = residue_step(current, var)
-            except (NotDivisibleError, VanishingResidueError):
-                continue
-            steps.append((var, current))
-            remaining.remove(var)
-            break
+            terms = _residue_terms(current.terms, var, k)
+            if terms is not None:
+                break
         else:
             return None
+        current = Polynomial._raw(ctx, terms)
+        steps.append((var, current))
+        remaining.remove(var)
     return ResidueChain(initial=f, steps=tuple(steps), terminal=current.constant_value())
 
 
@@ -160,20 +173,38 @@ def matrix_context(n: int, p: int) -> RingContext:
 def minor(ctx: RingContext, n: int, rows: list[int], cols: list[int]) -> Polynomial:
     """Determinant of the submatrix on ``rows`` and ``cols``, by the
     Leibniz formula: the sum over permutations s of sign(s) times the
-    product of the entries x_(rows[i], cols[s(i)]), each term written
-    directly, with no multiplication.  With distinct rows and columns,
-    distinct permutations give distinct monomials; repeated ones cancel."""
+    product of the entries x_(rows[i], cols[s(i)]).  The terms are written
+    on packed keys by ``_packed_minor`` and unpacked once.  With distinct
+    rows and columns, distinct permutations give distinct monomials;
+    repeated ones cancel."""
     if len(rows) != len(cols) or not rows:
         raise ValueError("need equally many rows and columns")
-    p = ctx.p
-    terms: dict[Monomial, int] = {}
-    for perm in permutations(range(len(cols))):
-        exps = [0] * ctx.arity
-        for row, s in zip(rows, perm):
-            exps[row * n + cols[s]] += 1
-        m = tuple(exps)
-        terms[m] = terms.get(m, 0) + (-1) ** sum(a > b for a, b in combinations(perm, 2))
-    return Polynomial._raw(ctx, {m: r for m, c in terms.items() if (r := c % p)})
+    pk = packing(grevlex_layout(ctx.arity), fit_bits(len(rows)))
+    return Polynomial._raw(ctx, pk.unpack_terms(_packed_minor(pk, n, rows, cols, ctx.p)))
+
+
+def _packed_minor(pk: Packing, n: int, rows: list[int], cols: list[int], p: int) -> dict[int, int]:
+    """The Leibniz sum of ``minor`` on packed keys, whose width must hold
+    degree len(rows): a key is affine in the exponents, so each term's key
+    is ``base`` plus the weights of its entries, one per row, and no
+    monomial is built."""
+    weights = pk.weights
+    entries = [[weights[row * n + col] for col in cols] for row in rows]
+    terms: dict[int, int] = {}
+    for perm, sign in _signed_permutations(len(cols)):
+        key = sum(map(getitem, entries, perm), pk.base)
+        terms[key] = terms.get(key, 0) + sign
+    return {key: r for key, c in terms.items() if (r := c % p)}
+
+
+@lru_cache(maxsize=None)
+def _signed_permutations(k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Every permutation of range(k), in lexicographic order, with its
+    sign: -1 for an odd number of inversions, else 1."""
+    return tuple(
+        (perm, -1 if sum(a > b for a, b in combinations(perm, 2)) % 2 else 1)
+        for perm in permutations(range(k))
+    )
 
 
 def _nested_blocks(ctx: RingContext, n: int) -> list[list[int]]:
@@ -221,12 +252,14 @@ def matrix_section_coefficient(ctx: RingContext, n: int) -> Polynomial:
     matrix: (m_1 ... m_(2n-1))^(p-1), computed as the product of the
     m_i^(p-1), so that each minor is raised while it is small.
 
-    Every minor is packed once (``fparith.Packing``), at the width of the
-    section's degree (p-1)n^2, where no field can overflow; for n >= 2 it
-    also holds the degree pk of a k x k minor's f^p, which the division
-    route divides.  Each is raised to the p-1 on packed keys by the route
-    ``pow_p_minus_1`` would pick (``fparith.packed_p_minus_1``; at p = 2
-    the minor itself), the powers are multiplied in order, and the
+    Every minor is written straight to packed keys (``_packed_minor``),
+    at the width of the section's degree (p-1)n^2, where no field can
+    overflow; for n >= 2 it also holds the degree pk of a k x k minor's
+    f^p, which the division route divides.  Each is raised to the p-1 on
+    packed keys by the route ``pow_p_minus_1`` would pick
+    (``fparith.packed_p_minus_1``; at p = 2 the minor itself).  The
+    powers are multiplied in order, except that the one-term powers of
+    the two 1x1 minors come first, where each is a shift of one key.  The
     section is unpacked once.
 
     Raises ValueError before any minor is built when one minor's f^(p-1),
@@ -236,12 +269,12 @@ def matrix_section_coefficient(ctx: RingContext, n: int) -> Polynomial:
     product so far by it would take more.
     """
     p = ctx.p
-    blocks = _nested_blocks(ctx, n)
+    blocks = sorted(_nested_blocks(ctx, n), key=lambda block: len(block) > 1)
     divides = {k: _minor_power_route(ctx.arity, k, p) for k in range(1, n + 1)}
     pk = packing(grevlex_layout(ctx.arity), fit_bits((p - 1) * n * n))
     packed = {pk.base: 1}
     for block in blocks:
-        power = pk.pack_terms(minor(ctx, n, block, block).terms)
+        power = _packed_minor(pk, n, block, block, p)
         power = packed_p_minus_1(power, divides[len(block)], pk, p)
         products = len(packed) * len(power)
         if products > MATRIX_PRODUCT_BUDGET:

@@ -112,6 +112,16 @@ def exhaustive_chain(f: Polynomial) -> ResidueChain | None:
     return None
 
 
+def semigroup_table(gens, limit: int) -> list[bool]:
+    """Membership of 0..limit in the numerical semigroup generated by
+    ``gens``, by dynamic programming: i > 0 is a member when i - g is, for
+    some generator g."""
+    table = [True] + [False] * limit
+    for i in range(1, limit + 1):
+        table[i] = any(i >= g and table[i - g] for g in gens)
+    return table
+
+
 contexts = st.builds(
     lambda p, n: ring(p, [f"x{i}" for i in range(n)]),
     st.sampled_from([2, 3, 5, 7]),

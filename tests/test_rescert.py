@@ -14,6 +14,7 @@ from frobsplit import (
     VerdictKind,
     certify_chain,
     check_splitting,
+    embed,
     exact_divide,
     homogeneous_fastpath,
     ideal,
@@ -24,6 +25,7 @@ from frobsplit import (
     minor,
     origin_coefficient,
     parse_expr,
+    rescert,
     residue_step,
     ring,
     search_chain,
@@ -69,6 +71,22 @@ def test_section_power_over_budget_is_refused_before_unpacking(monkeypatch):
     monkeypatch.setattr(Packing, "unpack_terms", unpacked)
     with pytest.raises(ValueError, match="multiplying the powers of its nested minors takes"):
         matrix_section_coefficient(matrix_context(5, 3), 5)
+
+
+@pytest.mark.parametrize("n,p", [(1, 3), (2, 2), (2, 3), (3, 2), (3, 3), (4, 2)])
+def test_one_term_powers_never_shift_a_larger_product(monkeypatch, n, p):
+    # The 1x1 minors' powers are single terms: each multiplies the product
+    # while it is still one term, not the section once it is built.
+    multiply = rescert.packed_product
+
+    def checked(a, b, base, p):
+        assert len(b) > 1 or len(a) == 1, f"{len(b)}-term power times {len(a)} terms"
+        return multiply(a, b, base, p)
+
+    ctx = matrix_context(n, p)
+    expected = matrix_section_coefficient(ctx, n)
+    monkeypatch.setattr(rescert, "packed_product", checked)
+    assert matrix_section_coefficient(ctx, n) == expected
 
 
 def _det_oracle(ctx, n, rows, cols):
@@ -205,6 +223,19 @@ def test_minor_matches_cofactor_expansion(p, rows, cols):
     assert minor(ctx, 4, rows, cols) == _det_oracle(ctx, 4, rows, cols)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_minor_matches_cofactor_expansion_on_any_rows_and_cols(data):
+    # Rows and columns may repeat, so that equal terms of opposite sign
+    # must cancel.
+    p = data.draw(st.sampled_from([2, 3, 5]))
+    k = data.draw(st.integers(1, 5))
+    rows = data.draw(st.lists(st.integers(0, 4), min_size=k, max_size=k))
+    cols = data.draw(st.lists(st.integers(0, 4), min_size=k, max_size=k))
+    ctx = matrix_context(5, p)
+    assert minor(ctx, 5, rows, cols) == _det_oracle(ctx, 5, rows, cols)
+
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_matrix_chain_upper_left_order(p):
     ctx = matrix_context(3, p)
@@ -276,6 +307,32 @@ def chain_candidates(draw):
 @given(chain_candidates())
 def test_search_chain_matches_the_search_over_all_orders(f):
     assert search_chain(f) == exhaustive_chain(f)
+
+
+def test_search_chain_tries_steps_without_building_remainders(monkeypatch):
+    # A uniform relabeling of the 3x3 section makes the search skip
+    # variables whose step fails; none of those tries may take the
+    # residue_step path or build a NotDivisibleError with its remainder.
+    ctx = matrix_context(3, 2)
+    perm = list(range(ctx.arity))
+    random.Random(2020).shuffle(perm)
+    g = embed(matrix_section_coefficient(ctx, 3), ctx, perm)
+
+    def refused(*args):
+        raise AssertionError("search_chain called residue_step")
+
+    class Refused(ArithmeticError):
+        def __init__(self, *args):
+            raise AssertionError("search_chain built a NotDivisibleError")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(rescert, "residue_step", refused)
+        patch.setattr(rescert, "NotDivisibleError", Refused)
+        chain = search_chain(g)
+    assert chain is not None
+    order = [var for var, _ in chain.steps]
+    assert order != sorted(order)
+    assert certify_chain(g, order) == chain
 
 
 def test_search_chain_misses_node():

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import os
 import random
 import resource
@@ -35,6 +36,7 @@ from frobsplit import (
     p1_extension_check,
     parse_expr,
     rescert,
+    SemigroupVerdict,
     ring,
     semigroup_split_check,
     splitcore,
@@ -42,7 +44,7 @@ from frobsplit import (
 )
 from frobsplit.cli import main
 from frobsplit.rescert import render_truncated
-from _util import contexts, polys, rand_poly
+from _util import contexts, polys, rand_poly, semigroup_table, wide_contexts
 
 
 def _splitting_coeff(rng, ctx, extra_terms=3):
@@ -505,6 +507,23 @@ def test_matrix_demo_refuses_each_oversized_size_at_once(size, message, capsys):
     assert time.perf_counter() - start < 2
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(1, 60), min_size=1, max_size=4).filter(lambda g: math.gcd(*g) == 1),
+    st.sampled_from([2, 3, 5, 7]),
+)
+def test_semigroup_bitset_matches_the_dynamic_programming(gens, p):
+    s = NumericalSemigroup(gens)
+    bound = (min(gens) - 1) * (max(gens) - 1)
+    # Far enough past the bound that p times any gap is in the table.
+    table = semigroup_table(gens, p * bound + 1)
+    assert s.gaps == tuple(i for i in range(bound + 1) if not table[i])
+    assert s.conductor == (s.gaps[-1] + 1 if s.gaps else 0)
+    assert [m in s for m in range(-2, len(table))] == [False, False] + table
+    witness = next((m for m in s.gaps if table[p * m]), None)
+    assert semigroup_split_check(s, p) == SemigroupVerdict(split=not s.gaps, witness=witness)
+
+
 def test_semigroup_witness_certifies():
     for gens in ([2, 3], [3, 5], [4, 5], [3, 7, 11]):
         s = NumericalSemigroup(gens)
@@ -535,6 +554,19 @@ def test_frobenius_roots_of_a_single_component(data):
     g = data.draw(polys(ctx, nonzero=True))
     b = data.draw(st.tuples(*[st.integers(0, ctx.p - 1)] * ctx.arity))
     assert frobenius_roots(g.frobenius() * ctx.monomial(b)) == {b: g}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_trace_is_the_top_root(data):
+    # Exponents mostly p-1 mod p, in up to 12 variables, so that many
+    # terms survive the trace and many fail only at their last variable.
+    ctx = data.draw(wide_contexts)
+    p = ctx.p
+    exponent = st.builds(lambda q, r: q * p + r, st.integers(0, 3), st.sampled_from([p - 1, p - 1, p - 1, 0, p // 2]))
+    terms = data.draw(st.dictionaries(st.tuples(*[exponent] * ctx.arity), st.integers(1, p - 1), max_size=8))
+    f = Polynomial(ctx, terms)
+    assert frobenius_trace(f) == frobenius_roots(f).get((p - 1,) * ctx.arity, ctx.zero())
 
 
 @settings(max_examples=100, deadline=None)
