@@ -79,9 +79,9 @@ def test_one_term_powers_never_shift_a_larger_product(monkeypatch, n, p):
     # while it is still one term, not the section once it is built.
     multiply = rescert.packed_product
 
-    def checked(a, b, base, p):
+    def checked(a, b, *rest):
         assert len(b) > 1 or len(a) == 1, f"{len(b)}-term power times {len(a)} terms"
-        return multiply(a, b, base, p)
+        return multiply(a, b, *rest)
 
     ctx = matrix_context(n, p)
     expected = matrix_section_coefficient(ctx, n)

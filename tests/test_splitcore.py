@@ -22,6 +22,7 @@ from frobsplit import (
     NotASplittingError,
     NotHomogeneousError,
     NumericalSemigroup,
+    SemigroupVerdict,
     TwistedEndo,
     VerdictKind,
     certify_chain,
@@ -36,7 +37,6 @@ from frobsplit import (
     p1_extension_check,
     parse_expr,
     rescert,
-    SemigroupVerdict,
     ring,
     semigroup_split_check,
     splitcore,
@@ -515,7 +515,7 @@ def test_matrix_demo_refuses_each_oversized_size_at_once(size, message, capsys):
 def test_semigroup_bitset_matches_the_dynamic_programming(gens, p):
     s = NumericalSemigroup(gens)
     bound = (min(gens) - 1) * (max(gens) - 1)
-    # Far enough past the bound that p times any gap is in the table.
+    # Long enough that p times any gap has an entry.
     table = semigroup_table(gens, p * bound + 1)
     assert s.gaps == tuple(i for i in range(bound + 1) if not table[i])
     assert s.conductor == (s.gaps[-1] + 1 if s.gaps else 0)
@@ -560,7 +560,7 @@ def test_frobenius_roots_of_a_single_component(data):
 @given(st.data())
 def test_trace_is_the_top_root(data):
     # Exponents mostly p-1 mod p, in up to 12 variables, so that many
-    # terms survive the trace and many fail only at their last variable.
+    # terms survive the trace.
     ctx = data.draw(wide_contexts)
     p = ctx.p
     exponent = st.builds(lambda q, r: q * p + r, st.integers(0, 3), st.sampled_from([p - 1, p - 1, p - 1, 0, p // 2]))
