@@ -10,7 +10,8 @@ Beyond ring arithmetic this module provides the characteristic-p
 primitives everything else builds on: the Frobenius power f -> f^p
 (computed by exponent scaling, never by expansion), the ubiquitous
 f^(p-1), by that free power divided exactly by f or by squaring,
-whichever is estimated cheaper, and the division engine
+whichever is estimated cheaper, the p-th-root decomposition
+f = sum_b x^b * h_b^p (``packed_roots``), and the division engine
 (``divide_terms``) that both exact division here and Groebner reduction
 in ``idealtheory`` run on.
 
@@ -448,12 +449,18 @@ class Polynomial:
         is raised directly, with no degree read.  Raises ZeroDivisionError
         for f = 0.
         """
+        if self.p_minus_1_divides():
+            return exact_divide(self.frobenius(), self)
+        return self ** (self.context.p - 1)
+
+    def p_minus_1_divides(self) -> bool:
+        """Whether ``pow_p_minus_1`` takes the division route
+        (``log_p_minus_1_cost``); ``packed_p_minus_1`` takes it on packed
+        keys when this is true.  Raises ZeroDivisionError for f = 0."""
         t, p = len(self.terms), self.context.p
         # Only an estimate reads the degree, which scans every term.
         degree = self.total_degree() if t > 1 and p > 2 else 0
-        if log_p_minus_1_cost(t, self.context.arity, degree, p)[1]:
-            return exact_divide(self.frobenius(), self)
-        return self ** (p - 1)
+        return log_p_minus_1_cost(t, self.context.arity, degree, p)[1]
 
     # -- comparison and rendering ----------------------------------------
 
@@ -489,11 +496,6 @@ def term_str(context: RingContext, m: Monomial, c: int) -> str:
         elif e > 1:
             factors.append(f"{name}^{e}")
     return "*".join(factors)
-
-
-def monomial_divides(a: Monomial, b: Monomial) -> bool:
-    """True when x^a divides x^b."""
-    return all(ea <= eb for ea, eb in zip(a, b))
 
 
 Layout = tuple[tuple[bool, tuple[int, ...]], ...]
@@ -688,8 +690,8 @@ def packed_p_minus_1(a: Mapping[int, int], divides: bool, pk: Packing, p: int) -
     """a^(p-1) on packed keys, whose width must hold every field of a^p:
     with ``divides``, by dividing the Frobenius power a^p, whose keys are
     base + p * (key - base), exactly by a; otherwise by ``packed_power``.
-    ``log_p_minus_1_cost`` picks the route, as in
-    ``Polynomial.pow_p_minus_1``."""
+    ``Polynomial.p_minus_1_divides`` picks the route that
+    ``Polynomial.pow_p_minus_1`` takes."""
     base = pk.base
     if not divides:
         return packed_power(a, p - 1, base, p)
@@ -697,6 +699,32 @@ def packed_p_minus_1(a: Mapping[int, int], divides: bool, pk: Packing, p: int) -
     quotient: dict[int, int] = {}
     divide_terms(frobenius, (make_divisor(a, min(a), p, pk),), p, pk, quotient)
     return quotient
+
+
+def packed_roots(terms: Mapping[int, int], pk: Packing, p: int) -> dict[Monomial, dict[int, int]]:
+    """The p-th-root decomposition f = sum_b x^b * h_b^p over b in
+    [0, p-1]^n of packed terms: each nonzero h_b, packed with ``pk``, by
+    its b.  A key is affine in the exponents, so for a term x^(pq + b),
+    key(x^(pq + b)) - key(x^b) = p * (key(x^q) - base): once b is read off
+    the unpacked exponents, the root's key is one exact division, and
+    key(x^b) is packed once per distinct b.  Every field of a root is at
+    most the term's, so the roots fit wherever the terms do."""
+    base = pk.base
+    if pk._struct is None or pk._pick is not None:
+        exponents = map(pk.unpack, terms)
+    else:
+        # ``unpack`` written out, as in ``Packing.unpack_terms``.
+        unpack, size = pk._struct.unpack, pk._nbytes
+        exponents = [unpack((k ^ base).to_bytes(size, "little")) for k in terms]
+    rem = p.__rmod__
+    split: dict[Monomial, tuple[int, dict[int, int]]] = {}
+    for (key, c), m in zip(terms.items(), exponents):
+        b = tuple(map(rem, m))
+        entry = split.get(b)
+        if entry is None:
+            entry = split[b] = (pk.pack(b), {})
+        entry[1][base + (key - entry[0]) // p] = c
+    return {b: root for b, (_, root) in split.items()}
 
 
 def degree(terms: Mapping[Monomial, int]) -> int:

@@ -23,8 +23,9 @@ of c * g in I^[p] for each generator g against a basis of I^[p], with no
 colon built; and the finite one, membership in I of every p-th root of
 c * g against a basis of I, which cross-validates it), the existence
 test for compatible splittings on the same p-th-root decomposition, and
-nilpotency witnesses.  Fedder modules that would be too large are
-refused before anything is built (``FEDDER_TERM_BUDGET``).
+nilpotency witnesses, the last two on packed keys as well.  Fedder
+modules that would be too large are refused before anything is built
+(``FEDDER_TERM_BUDGET``).
 """
 
 from __future__ import annotations
@@ -53,10 +54,12 @@ from .fparith import (
     log_power_terms,
     make_divisor,
     packed_call,
+    packed_p_minus_1,
     packed_product,
+    packed_roots,
     packing,
 )
-from .splitcore import TwistedEndo, frobenius_roots
+from .splitcore import TwistedEndo
 
 
 @dataclass(frozen=True)
@@ -274,15 +277,20 @@ def buchberger(I: IdealPresentation, order: MonomialOrder = GREVLEX) -> Groebner
 
 def _buchberger(I: IdealPresentation, order: MonomialOrder, pk: Packing) -> GroebnerBasis:
     ctx = I.context
-    divisors, leads = _buchberger_core([pk.pack_terms(g.terms) for g in I.generators], ctx.p, pk)
-    basis = []
-    unpack = pk.unpack
-    for lt, (_, _, _, tail) in zip(leads, divisors):
-        terms = {lt: 1}
-        for m, c in tail:
-            terms[unpack(m)] = c
-        basis.append(Polynomial._raw(ctx, terms))
-    return GroebnerBasis(ctx, order, tuple(basis))
+    core = _buchberger_core([pk.pack_terms(g.terms) for g in I.generators], ctx.p, pk)
+    return _unpack_basis(ctx, order, pk, *core)
+
+
+def _unpack_basis(
+    ctx: RingContext, order: MonomialOrder, pk: Packing, divisors: list[Divisor], leads: list[Monomial]
+) -> GroebnerBasis:
+    """The ``GroebnerBasis`` of a result of ``_buchberger_core``: each
+    monic element's tail unpacked once, behind its leading term."""
+    unpack = pk.unpack_terms
+    basis = tuple(
+        Polynomial._raw(ctx, {lt: 1} | unpack(dict(tail))) for lt, (_, _, _, tail) in zip(leads, divisors)
+    )
+    return GroebnerBasis(ctx, order, basis)
 
 
 def _buchberger_core(
@@ -530,13 +538,14 @@ def is_compatible(
     with a in [0, p-1]^n does, since every polynomial is a combination
     sum_a r_a^p x^a, and that trace is h_{(p-1)-a}.  It runs on packed
     keys at one width too: one basis of I by its own Buchberger run (a
-    single g is its own basis), coeff * g formed on keys and unpacked once
-    for its roots, and one division per root, stopping at the first that
-    leaves a remainder; the whole check reruns wider if a field
-    overflows.  The two bases, of I^[p] and of I, come from separate
-    runs on separate generators, so "both" compares two independent
-    computations: it runs the two and raises if they disagree.  Neither
-    builds a Fedder module, so ``FEDDER_TERM_BUDGET`` does not apply.
+    single g is its own basis), coeff * g formed and split into its roots
+    on keys (``fparith.packed_roots``), with nothing unpacked, and one
+    division per root, stopping at the first that leaves a remainder; the
+    whole check reruns wider if a field overflows.  The two bases, of
+    I^[p] and of I, come from separate runs on separate generators, so
+    "both" compares two independent computations: it runs the two and
+    raises if they disagree.  Neither builds a Fedder module, so
+    ``FEDDER_TERM_BUDGET`` does not apply.
     """
     if sigma.context != I.context:
         raise ContextMismatchError("endomorphism and ideal from different rings")
@@ -596,12 +605,13 @@ def _fedder_member(c: Polynomial, I: IdealPresentation) -> bool:
 def _finite_member(c: Polynomial, I: IdealPresentation) -> bool:
     """Does every p-th root h_b of c * g = sum_b x^b * h_b^p lie in the
     nonzero ideal I, for every generator g?  All on grevlex packed keys
-    at one width: each g packed once, a basis of I by ``_packed_basis``
-    on those, c * g by ``packed_product`` and unpacked once for
-    ``frobenius_roots``, and membership of each packed root as an empty
-    remainder of ``divide_terms``, stopping at the first root that fails.
-    The width holds every field of c * g, and so of its roots and of each
-    g; an overflow elsewhere reruns the whole check wider."""
+    at one width, with nothing unpacked: each g packed once, a basis of I
+    by ``_packed_basis`` on those, c * g by ``packed_product``, its roots
+    split off its keys by ``packed_roots``, and membership of each root
+    as an empty remainder of ``divide_terms``, stopping at the first root
+    that fails.  The width holds every field of c * g, and so of its
+    roots and of each g; an overflow elsewhere reruns the whole check
+    wider."""
     if c.is_zero():
         return True
     ctx = I.context
@@ -613,9 +623,8 @@ def _finite_member(c: Polynomial, I: IdealPresentation) -> bool:
         divisors = _packed_basis(gens, p, pk)
         packed_c = pk.pack_terms(c.terms)
         for g in gens:
-            product = Polynomial._raw(ctx, pk.unpack_terms(packed_product(packed_c, g, base, p)))
-            for h in frobenius_roots(product).values():
-                if divide_terms(pk.pack_terms(h.terms), divisors, p, pk):
+            for h in packed_roots(packed_product(packed_c, g, base, p), pk, p).values():
+                if divide_terms(h, divisors, p, pk):
                     return False
         return True
 
@@ -637,14 +646,46 @@ def exists_compatible_splitting(I: IdealPresentation) -> ExistsSplitVerdict:
     compatible with I.  As trace(x^a * c) = h_{(p-1)-a} for
     c = sum_b x^b * h_b^p, the roots h_b of the c generate it, with none
     missed.  A compatible splitting exists iff that ideal is the whole
-    ring; its reduced basis is returned as the obstruction.
+    ring; its reduced grevlex basis is returned as the obstruction.
+
+    The module's generators are packed once at the width of the largest,
+    split on their keys by ``packed_roots``, and the roots go straight to
+    ``_buchberger_core``; only the reduced basis is unpacked.  For
+    I = (g) the module (g^(p-1)) is not built as a polynomial: g is packed
+    at the width of g^p and raised on keys (``packed_p_minus_1``, by the
+    route ``pow_p_minus_1`` takes).  ``fedder_module`` scales g^(p-1) by a
+    unit, which changes neither the ideal its roots generate nor its
+    reduced basis.  An overflow reruns the whole computation wider.
+    Raises ValueError, before anything is built, when the module would
+    be too large (``FEDDER_TERM_BUDGET``).
     """
     ctx = I.context
     if I.is_zero_ideal():
         # No constraint at all: the standard splitting works.
         return ExistsSplitVerdict(True, buchberger(IdealPresentation(ctx, (ctx.one(),))))
-    roots = [h for c in fedder_module(I).generators for h in frobenius_roots(c).values()]
-    G = buchberger(IdealPresentation(ctx, roots))
+    p = ctx.p
+    if len(I.generators) == 1:
+        _check_fedder_budget(I)
+        (g,) = I.generators
+        divides = g.p_minus_1_divides()
+
+        def module(pk: Packing) -> list[dict[int, int]]:
+            return [packed_p_minus_1(pk.pack_terms(g.terms), divides, pk, p)]
+
+        bits = fit_bits(p * degree(g.terms))
+    else:
+        generators = fedder_module(I).generators
+
+        def module(pk: Packing) -> list[dict[int, int]]:
+            return [pk.pack_terms(c.terms) for c in generators]
+
+        bits = fit_bits(max(degree(c.terms) for c in generators))
+
+    def run(pk: Packing) -> GroebnerBasis:
+        roots = [h for c in module(pk) for h in packed_roots(c, pk, p).values()]
+        return _unpack_basis(ctx, GREVLEX, pk, *_buchberger_core(roots, p, pk))
+
+    G = packed_call(packing(GREVLEX.layout(ctx.arity), bits), run)
     return ExistsSplitVerdict(G.is_unit_ideal(), G)
 
 
@@ -652,16 +693,30 @@ def nilpotent_witness(g: Polynomial, I: IdealPresentation, bound: int) -> int | 
     """Smallest k <= bound with g not in I but g^k in I, if any.
 
     Such a k shows I is not radical, which rules out any compatible
-    splitting.
+    splitting.  A basis of I is packed once with g at the grevlex width of
+    g^bound; each power is one ``packed_product`` by g, and membership an
+    empty remainder of ``divide_terms``, with nothing unpacked.  An
+    overflow reruns the whole search wider.
     """
     if bound < 2:
         raise ValueError("bound must be at least 2")
-    G = buchberger(I)
-    if G.contains(g):
+    if g.context != I.context:
+        raise ContextMismatchError("polynomial and ideal from different rings")
+    if g.is_zero():
         return None
-    power = g
-    for k in range(2, bound + 1):
-        power = power * g
-        if G.contains(power):
-            return k
-    return None
+    G = buchberger(I)
+    p = g.context.p
+
+    def run(pk: Packing) -> int | None:
+        divisors = _pack(G.basis, pk, p)
+        packed_g = power = pk.pack_terms(g.terms)
+        if not divide_terms(power, divisors, p, pk):
+            return None
+        for k in range(2, bound + 1):
+            power = packed_product(power, packed_g, pk.base, p)
+            if not divide_terms(power, divisors, p, pk):
+                return k
+        return None
+
+    top = max([bound * degree(g.terms)] + [degree(h.terms) for h in G.basis])
+    return packed_call(packing(GREVLEX.layout(g.context.arity), fit_bits(top)), run)

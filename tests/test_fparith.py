@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from frobsplit import (
     Coefficient,
     ContextMismatchError,
+    MonomialOrder,
     NotDivisibleError,
     Polynomial,
     Prime,
@@ -23,8 +24,8 @@ from frobsplit import (
     substitute_zero,
 )
 from frobsplit.expr import parse_expr
-from frobsplit.fparith import log_power_products, monomial_divides
-from _util import contexts, grevlex_key, polys, rand_poly, schoolbook_mul
+from frobsplit.fparith import log_power_products
+from _util import contexts, grevlex_key, monomial_divides, polys, rand_poly, schoolbook_mul, tuple_roots
 
 
 @pytest.mark.parametrize("value", [2, 3, 5, 7, 32003])
@@ -486,3 +487,33 @@ def test_p_minus_1_cost_is_never_above_the_squaring_estimate(terms, arity, degre
     # squaring estimate: no power it accepted is refused now.
     cost, _ = fparith.log_p_minus_1_cost(terms, arity, degree, p)
     assert cost <= log_power_products(terms, arity, degree, p - 1, math.inf) + 1e-9
+
+
+
+# Layouts of each kind: grevlex reads its fields in variable order, lex
+# and elim(1) through ``Packing._pick``.
+ROOT_LAYOUTS = ["grevlex", "lex", "elim"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_packed_roots_match_the_tuple_split_and_reassemble(data):
+    ctx = data.draw(contexts)
+    p, n = ctx.p, ctx.arity
+    kind = data.draw(st.sampled_from(ROOT_LAYOUTS if n > 1 else ROOT_LAYOUTS[:2]))
+    order = MonomialOrder(kind, 1 if kind == "elim" else 0)
+    # 7, 15, 31 and 63 bits are read by one struct call, 127 field by field.
+    bits = data.draw(st.sampled_from([7, 15, 31, 63, 127]))
+    pk = fparith.packing(order.layout(n), bits)
+    assert (pk._struct is None) == (bits == 127)
+    assert (pk._pick is None) == (bits == 127 or kind == "grevlex" or n == 1)
+    # Exponents up to the widest a field holds, so the degree field fills.
+    f = data.draw(polys(ctx, max_exp=((1 << bits) - 1) // n, max_terms=8))
+    roots = fparith.packed_roots(pk.pack_terms(f.terms), pk, p)
+    unpacked = {b: Polynomial(ctx, pk.unpack_terms(h)) for b, h in roots.items()}
+    assert unpacked == tuple_roots(f)
+    assert all(h and all(0 <= e < p for e in b) for b, h in roots.items())
+    total = ctx.zero()
+    for b, h in unpacked.items():
+        total = total + ctx.monomial(b) * h.frobenius()
+    assert total == f

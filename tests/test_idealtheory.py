@@ -5,7 +5,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from frobsplit import (
@@ -32,8 +32,19 @@ from frobsplit import (
     ring,
     s_polynomial,
 )
-from frobsplit.fparith import Packing, fit_bits, monomial_divides, packing
-from _util import contexts, ideals, leading, order_key, polys, rand_poly, tagged_intersect, wide_contexts
+from frobsplit.fparith import Packing, fit_bits, packing
+from _util import (
+    contexts,
+    ideals,
+    leading,
+    monomial_divides,
+    order_key,
+    polys,
+    rand_poly,
+    tagged_intersect,
+    tuple_roots,
+    wide_contexts,
+)
 
 ORDERS = [MonomialOrder.lex(), MonomialOrder.grevlex(), MonomialOrder.elim(1)]
 
@@ -889,12 +900,12 @@ def test_fedder_check_takes_no_roots_and_no_basis_of_the_ideal(data):
     sigma = TwistedEndo(data.draw(polys(ctx, max_exp=2 * ctx.p - 1, max_terms=3)))
     bracket = [g.terms for g in frobenius_power_ideal(I).generators]
 
-    def no_roots(f):
+    def no_roots(*args):
         raise AssertionError("the Fedder check took p-th roots")
 
     with pytest.MonkeyPatch.context() as m:
         runs, _ = _probe_fedder(m)
-        m.setattr(idealtheory, "frobenius_roots", no_roots)
+        m.setattr(idealtheory, "packed_roots", no_roots)
         verdict = is_compatible(sigma, I, "fedder")
     # The basis of I^[p] comes from its own run, never from one of I,
     # which the finite method builds; one generator g^p is its own basis,
@@ -1091,3 +1102,126 @@ def test_colon_generators_are_a_grevlex_groebner_basis(data):
     G = GroebnerBasis(ctx, grevlex, gens)
     for a, b in itertools.combinations(gens, 2):
         assert normal_form(s_polynomial(a, b, grevlex), G).is_zero()
+
+
+# -- p-th roots on packed keys -------------------------------------------------
+
+
+def _exists_by_the_module(I):
+    """The existence verdict by its first construction: the Fedder module
+    as polynomials, each generator split by the tuple reference, and
+    ``buchberger`` on the roots."""
+    roots = [h for c in fedder_module(I).generators for h in tuple_roots(c).values()]
+    G = buchberger(IdealPresentation(I.context, roots))
+    return G.is_unit_ideal(), G.basis
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_principal_exists_split_matches_the_module_route(data):
+    p = data.draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+    ctx = ring(p, [f"x{i}" for i in range(data.draw(st.integers(1, 3)))])
+    g = data.draw(polys(ctx, max_exp=2, max_terms=3, nonzero=True))
+    # g^(p-1) by division needs p > 3; draw the route, then keep a g that takes it.
+    divides = p > 3 and data.draw(st.booleans())
+    assume(g.p_minus_1_divides() == divides)
+    res = exists_compatible_splitting(ideal(g))
+    assert (res.exists, res.obstruction.basis) == _exists_by_the_module(ideal(g))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_two_generator_exists_split_matches_the_module_route(data):
+    ctx = data.draw(contexts.filter(lambda c: c.p <= 5))
+    gens = data.draw(st.lists(polys(ctx, max_exp=2, max_terms=2, nonzero=True), min_size=2, max_size=2))
+    I = IdealPresentation(ctx, gens)
+    res = exists_compatible_splitting(I)
+    assert (res.exists, res.obstruction.basis) == _exists_by_the_module(I)
+
+
+@pytest.mark.parametrize(
+    "p,expr",
+    # g^(p-1) by squaring past 7-bit fields, and g^(p-1) by dividing g^p
+    # whose degree, 132 or 143, is past them while g^(p-1)'s is not.
+    [(3, "(x^35+y)^2"), (11, "(x^6+y)^2"), (11, "(x^6+y*z)^2*z")],
+)
+def test_principal_exists_split_packs_at_the_width_of_g_to_the_p(p, expr):
+    I = _ideal(ring(p, "x y z"), expr)
+    res = exists_compatible_splitting(I)
+    assert (res.exists, res.obstruction.basis) == _exists_by_the_module(I)
+    assert not res.exists
+
+
+def _count_unpacking(m):
+    """Record, through ``m`` (a MonkeyPatch), what every call of
+    ``Packing.unpack_terms`` returns."""
+    unpack, unpacked = Packing.unpack_terms, []
+
+    def counted(pk, terms):
+        unpacked.append(unpack(pk, terms))
+        return unpacked[-1]
+
+    m.setattr(Packing, "unpack_terms", counted)
+    return unpacked
+
+
+@pytest.mark.parametrize("gens", [["x*y+z", "x^2+y*z+1"], ["x^3+y^3+z^3"], ["x*y*z+x+1"]])
+def test_finite_check_unpacks_nothing(gens, monkeypatch):
+    ctx = ring(5, "x y z")
+    I = _ideal(ctx, *gens)
+    for section in ("1", "(x*y*z)^(p-1)", "x^3*y^7 + 2*z^9 + x*y"):
+        sigma = TwistedEndo(parse_expr(section, ctx))
+        with monkeypatch.context() as m:
+            unpacked = _count_unpacking(m)
+            is_compatible(sigma, I, "finite")
+        assert unpacked == []
+
+
+@pytest.mark.parametrize(
+    "p,expr",
+    # Bases [x, y, z] and [1]; [xy + z^2], with g^(p-1) by division; and
+    # [(x + y)^2, (x + y)z], by squaring.
+    [(5, "x^3+y^3+z^3"), (101, "x*y+x+1"), (7, "(x*y+z^2)^2"), (3, "(x+y)^3*z+(x+y)^2*z^2")],
+)
+def test_principal_exists_split_unpacks_only_the_obstruction_basis(p, expr, monkeypatch):
+    import frobsplit.idealtheory as idealtheory
+
+    def built(*args):
+        raise AssertionError("the module built as a polynomial")
+
+    ctx = ring(p, "x y z")
+    I = _ideal(ctx, expr)
+    expected = exists_compatible_splitting(I)
+    with monkeypatch.context() as m:
+        m.setattr(idealtheory, "fedder_module", built)
+        m.setattr(Polynomial, "pow_p_minus_1", built)
+        unpacked = _count_unpacking(m)
+        res = exists_compatible_splitting(I)
+    assert res == expected
+    # One call per basis element, for its tail behind the monic leading term.
+    leads = [leading(h, MonomialOrder.grevlex())[0] for h in res.obstruction.basis]
+    tails = [{m: c for m, c in h.terms.items() if m != lt} for h, lt in zip(res.obstruction.basis, leads)]
+    assert unpacked == tails
+
+
+def _nilpotent_by_normal_form(g, I, bound):
+    """``nilpotent_witness`` on polynomials: each power g^k by
+    ``Polynomial.__pow__`` and reduced by ``normal_form``."""
+    G = buchberger(I)
+    if normal_form(g, G).is_zero():
+        return None
+    return next((k for k in range(2, bound + 1) if normal_form(g**k, G).is_zero()), None)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_nilpotent_witness_matches_normal_forms_of_the_powers(data):
+    ctx = data.draw(contexts)
+    g = data.draw(polys(ctx, max_exp=2, max_terms=3))
+    gens = data.draw(st.lists(polys(ctx, max_exp=2, max_terms=2), max_size=2))
+    if data.draw(st.booleans()):
+        # A power of g among the generators: a witness at most that power.
+        gens.append(g ** data.draw(st.integers(2, 4)))
+    I = IdealPresentation(ctx, gens)
+    bound = data.draw(st.integers(2, 5))
+    assert nilpotent_witness(g, I, bound) == _nilpotent_by_normal_form(g, I, bound)
