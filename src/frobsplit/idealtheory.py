@@ -23,9 +23,8 @@ of c * g in I^[p] for each generator g against a basis of I^[p], with no
 colon built; and the finite one, membership in I of every p-th root of
 c * g against a basis of I, which cross-validates it), the existence
 test for compatible splittings on the same p-th-root decomposition, and
-nilpotency witnesses, the last two on packed keys as well.  Fedder
-modules that would be too large are refused before anything is built
-(``FEDDER_TERM_BUDGET``).
+nilpotency witnesses.  Fedder modules that would be too large are
+refused before anything is built (``FEDDER_TERM_BUDGET``).
 """
 
 from __future__ import annotations
@@ -693,30 +692,16 @@ def nilpotent_witness(g: Polynomial, I: IdealPresentation, bound: int) -> int | 
     """Smallest k <= bound with g not in I but g^k in I, if any.
 
     Such a k shows I is not radical, which rules out any compatible
-    splitting.  A basis of I is packed once with g at the grevlex width of
-    g^bound; each power is one ``packed_product`` by g, and membership an
-    empty remainder of ``divide_terms``, with nothing unpacked.  An
-    overflow reruns the whole search wider.
+    splitting.
     """
     if bound < 2:
         raise ValueError("bound must be at least 2")
-    if g.context != I.context:
-        raise ContextMismatchError("polynomial and ideal from different rings")
-    if g.is_zero():
-        return None
     G = buchberger(I)
-    p = g.context.p
-
-    def run(pk: Packing) -> int | None:
-        divisors = _pack(G.basis, pk, p)
-        packed_g = power = pk.pack_terms(g.terms)
-        if not divide_terms(power, divisors, p, pk):
-            return None
-        for k in range(2, bound + 1):
-            power = packed_product(power, packed_g, pk.base, p)
-            if not divide_terms(power, divisors, p, pk):
-                return k
+    if G.contains(g):
         return None
-
-    top = max([bound * degree(g.terms)] + [degree(h.terms) for h in G.basis])
-    return packed_call(packing(GREVLEX.layout(g.context.arity), fit_bits(top)), run)
+    power = g
+    for k in range(2, bound + 1):
+        power = power * g
+        if G.contains(power):
+            return k
+    return None

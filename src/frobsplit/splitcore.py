@@ -26,13 +26,8 @@ from .fparith import (
     Polynomial,
     Prime,
     RingContext,
-    degree,
     embed,
     exact_divide,
-    fit_bits,
-    grevlex_layout,
-    packed_roots,
-    packing,
 )
 
 
@@ -51,9 +46,8 @@ def frobenius_trace(f: Polynomial) -> Polynomial:
     to c * x^((m - (p-1,..,p-1)) / p), whose exponents are the quotients
     m_i // p.  Each term's test stops at its first exponent of another
     residue.  Coefficients are untouched: the prime field is fixed by the
-    Frobenius.  This is the root h_b at b = (p-1,..,p-1) of
-    ``frobenius_roots``, found in one pass over the exponent tuples,
-    without packing f or splitting the other terms.
+    Frobenius.  This is the root at b = (p-1,..,p-1) of
+    ``frobenius_roots``, found without splitting the other terms.
     """
     p = f.context.p
     k, quo = p - 1, p.__rfloordiv__
@@ -69,16 +63,17 @@ def frobenius_trace(f: Polynomial) -> Polynomial:
 
 def frobenius_roots(f: Polynomial) -> dict[Monomial, Polynomial]:
     """The p-th-root decomposition f = sum_b x^b * h_b^p over b in [0, p-1]^n:
-    each nonzero h_b by its b.  f is packed once at the width of its
-    degree, split on its keys by ``fparith.packed_roots``, the one p-th-root
-    primitive, and each root unpacked once.  As trace(x^a * f) = h_{(p-1)-a},
-    these are all the traces of f at once."""
-    if not f.terms:
-        return {}
-    ctx = f.context
-    pk = packing(grevlex_layout(ctx.arity), fit_bits(degree(f.terms)))
-    roots = packed_roots(pk.pack_terms(f.terms), pk, ctx.p)
-    return {b: Polynomial._raw(ctx, pk.unpack_terms(h)) for b, h in roots.items()}
+    each nonzero h_b by its b, with b and the exponent of h_b's term read
+    off each term's exponents by one remainder and one quotient map.  As
+    trace(x^a * f) = h_{(p-1)-a}, these are all the traces of f at once.
+    ``fparith.packed_roots`` is the same split on packed keys; this one
+    on exponent tuples is its reference."""
+    p = f.context.p
+    rem, quo = p.__rmod__, p.__rfloordiv__
+    roots: dict[Monomial, dict[Monomial, int]] = {}
+    for m, c in f.terms.items():
+        roots.setdefault(tuple(map(rem, m)), {})[tuple(map(quo, m))] = c
+    return {b: Polynomial._raw(f.context, terms) for b, terms in roots.items()}
 
 
 @dataclass(frozen=True)

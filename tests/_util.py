@@ -95,17 +95,6 @@ def monomial_divides(a: tuple, b: tuple) -> bool:
     return all(ea <= eb for ea, eb in zip(a, b))
 
 
-def tuple_roots(f: Polynomial) -> dict[tuple, Polynomial]:
-    """Reference p-th-root decomposition f = sum_b x^b * h_b^p on exponent
-    tuples: each term's b and the exponent of its root read off by one
-    remainder and one quotient per exponent, with no packing."""
-    p = f.context.p
-    roots: dict[tuple, dict[tuple, int]] = {}
-    for m, c in f.terms.items():
-        roots.setdefault(tuple(e % p for e in m), {})[tuple(e // p for e in m)] = c
-    return {b: Polynomial(f.context, terms) for b, terms in roots.items()}
-
-
 def schoolbook_mul(a: dict, b: dict, p: int) -> dict:
     """Independent dict-based product over the integers, reduced at the end."""
     out: dict = {}

@@ -20,12 +20,13 @@ from frobsplit import (
     embed,
     exact_divide,
     fparith,
+    frobenius_roots,
     ring,
     substitute_zero,
 )
 from frobsplit.expr import parse_expr
 from frobsplit.fparith import log_power_products
-from _util import contexts, grevlex_key, monomial_divides, polys, rand_poly, schoolbook_mul, tuple_roots
+from _util import contexts, grevlex_key, monomial_divides, polys, rand_poly, schoolbook_mul
 
 
 @pytest.mark.parametrize("value", [2, 3, 5, 7, 32003])
@@ -489,7 +490,6 @@ def test_p_minus_1_cost_is_never_above_the_squaring_estimate(terms, arity, degre
     assert cost <= log_power_products(terms, arity, degree, p - 1, math.inf) + 1e-9
 
 
-
 # Layouts of each kind: grevlex reads its fields in variable order, lex
 # and elim(1) through ``Packing._pick``.
 ROOT_LAYOUTS = ["grevlex", "lex", "elim"]
@@ -497,7 +497,7 @@ ROOT_LAYOUTS = ["grevlex", "lex", "elim"]
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
-def test_packed_roots_match_the_tuple_split_and_reassemble(data):
+def test_packed_roots_match_frobenius_roots_and_reassemble(data):
     ctx = data.draw(contexts)
     p, n = ctx.p, ctx.arity
     kind = data.draw(st.sampled_from(ROOT_LAYOUTS if n > 1 else ROOT_LAYOUTS[:2]))
@@ -511,7 +511,7 @@ def test_packed_roots_match_the_tuple_split_and_reassemble(data):
     f = data.draw(polys(ctx, max_exp=((1 << bits) - 1) // n, max_terms=8))
     roots = fparith.packed_roots(pk.pack_terms(f.terms), pk, p)
     unpacked = {b: Polynomial(ctx, pk.unpack_terms(h)) for b, h in roots.items()}
-    assert unpacked == tuple_roots(f)
+    assert unpacked == frobenius_roots(f)
     assert all(h and all(0 <= e < p for e in b) for b, h in roots.items())
     total = ctx.zero()
     for b, h in unpacked.items():

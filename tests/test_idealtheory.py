@@ -42,7 +42,6 @@ from _util import (
     polys,
     rand_poly,
     tagged_intersect,
-    tuple_roots,
     wide_contexts,
 )
 
@@ -1109,9 +1108,9 @@ def test_colon_generators_are_a_grevlex_groebner_basis(data):
 
 def _exists_by_the_module(I):
     """The existence verdict by its first construction: the Fedder module
-    as polynomials, each generator split by the tuple reference, and
+    as polynomials, each generator split by ``frobenius_roots``, and
     ``buchberger`` on the roots."""
-    roots = [h for c in fedder_module(I).generators for h in tuple_roots(c).values()]
+    roots = [h for c in fedder_module(I).generators for h in frobenius_roots(c).values()]
     G = buchberger(IdealPresentation(I.context, roots))
     return G.is_unit_ideal(), G.basis
 
@@ -1202,26 +1201,3 @@ def test_principal_exists_split_unpacks_only_the_obstruction_basis(p, expr, monk
     leads = [leading(h, MonomialOrder.grevlex())[0] for h in res.obstruction.basis]
     tails = [{m: c for m, c in h.terms.items() if m != lt} for h, lt in zip(res.obstruction.basis, leads)]
     assert unpacked == tails
-
-
-def _nilpotent_by_normal_form(g, I, bound):
-    """``nilpotent_witness`` on polynomials: each power g^k by
-    ``Polynomial.__pow__`` and reduced by ``normal_form``."""
-    G = buchberger(I)
-    if normal_form(g, G).is_zero():
-        return None
-    return next((k for k in range(2, bound + 1) if normal_form(g**k, G).is_zero()), None)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.data())
-def test_nilpotent_witness_matches_normal_forms_of_the_powers(data):
-    ctx = data.draw(contexts)
-    g = data.draw(polys(ctx, max_exp=2, max_terms=3))
-    gens = data.draw(st.lists(polys(ctx, max_exp=2, max_terms=2), max_size=2))
-    if data.draw(st.booleans()):
-        # A power of g among the generators: a witness at most that power.
-        gens.append(g ** data.draw(st.integers(2, 4)))
-    I = IdealPresentation(ctx, gens)
-    bound = data.draw(st.integers(2, 5))
-    assert nilpotent_witness(g, I, bound) == _nilpotent_by_normal_form(g, I, bound)
