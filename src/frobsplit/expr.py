@@ -20,11 +20,9 @@ The syntax tree is made of tuples (see ``parse_ast``), with each chain of
 ``+`` and ``-``, and each chain of ``*``, as one node.  It is evaluated on
 plain term dicts {exponent tuple: residue in [1, p)}, and only the result
 becomes a ``Polynomial``.  A chain of sums is added into one dict, left to
-right.  A product with a one-term operand, and a one-term base to a power,
-is an exponent shift or scale; other products and powers go through
-``Polynomial`` arithmetic.  A power whose exponent is exactly p-1 goes
-through ``Polynomial.pow_p_minus_1``, which divides the free Frobenius
-power f^p by f when that is cheaper than squaring.
+right.  A product with a one-term operand is an exponent shift or scale;
+other products, and every power, go through ``Polynomial`` arithmetic,
+where f^e is taken by the base-p digits of e (``fparith.packed_power``).
 
 Parentheses nest at most ``MAX_NESTING`` levels deep, as the parser and
 the evaluators recurse once per level.  Evaluation has a size budget,
@@ -32,11 +30,10 @@ checked before anything is expanded: an integer in an exponent, and
 every exponent a power produces, has at most ``MAX_EXPONENT_BITS`` bits,
 and a product or power whose estimated work in term products exceeds
 ``MAX_TERM_PRODUCTS`` is refused.  A power is estimated by the route it
-takes: ``fparith.log_p_minus_1_cost`` for the p-1,
-``fparith.log_power_products`` (square and multiply) otherwise.  Neither
-counts the cancellations of characteristic p, so a power that would have
-come out sparse may be refused.  Errors are found depth first, left to
-right, and are ``ParseError``.
+takes (``fparith.log_power_cost``): the powers of the base-p digits of e
+and their products, so a power that characteristic p keeps sparse, such
+as (x+y+z)^300 at p = 3, is admitted.  Errors are found depth first,
+left to right, and are ``ParseError``.
 """
 
 from __future__ import annotations
@@ -44,7 +41,7 @@ from __future__ import annotations
 from math import log
 from operator import add
 
-from .fparith import Monomial, Polynomial, RingContext, log_p_minus_1_cost, log_power_products
+from .fparith import Monomial, Polynomial, RingContext, log_power_cost
 
 
 class ParseError(ValueError):
@@ -206,7 +203,8 @@ and the rest is left to the caller."""
 
 MAX_TERM_PRODUCTS = 10**7
 """Term products allowed, by estimate, in one product or power, a few
-seconds of work: (x+y)^(10^6) is refused at once."""
+seconds of work: (x+y)^(10^6) at p = 1000003, whose exponent is one
+digit, is refused at once."""
 
 
 def _check_bits(bits: int, pos: int) -> None:
@@ -339,29 +337,16 @@ class _Evaluator:
         return (Polynomial._raw(context, a) * Polynomial._raw(context, b)).terms
 
     def power(self, f: Terms, e: int, pos: int) -> Terms:
-        """f^e, after checking its exponents and the estimated term products
-        of the route it takes against the budget."""
-        if e == 0:
-            return {self.zero: 1}
-        t = len(f)
-        if t == 1:
-            ((m, c),) = f.items()
-            _check_bits((sum(m) * e).bit_length(), pos)
-            return {tuple([x * e for x in m]): pow(c, e, self.p)}
-        if not t:
-            return f
-        d = max(map(sum, f))
-        _check_bits((d * e).bit_length(), pos)
-        arity, p = self.context.arity, self.p
-        cap = log(MAX_TERM_PRODUCTS)
-        if e == p - 1:
-            log_cost = log_p_minus_1_cost(t, arity, d, p)[0]
-        else:
-            log_cost = log_power_products(t, arity, d, e, cap)
-        if log_cost > cap:
-            raise ParseError(f"power too large: a {t}-term polynomial to the {e}", pos)
-        g = Polynomial._raw(self.context, f)
-        return (g.pow_p_minus_1() if e == p - 1 else g**e).terms
+        """f^e, after checking its exponents and, for an f of more than
+        one term, the estimated term products of its route against the
+        budget."""
+        if f:
+            t, d = len(f), max(map(sum, f))
+            _check_bits((d * e).bit_length(), pos)
+            cap = log(MAX_TERM_PRODUCTS)
+            if t > 1 and log_power_cost(t, self.context.arity, d, e, self.p, cap) > cap:
+                raise ParseError(f"power too large: a {t}-term polynomial to the {e}", pos)
+        return (Polynomial._raw(self.context, f) ** e).terms
 
 
 def parse_expr(text: str, context: RingContext) -> Polynomial:

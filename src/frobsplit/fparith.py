@@ -8,9 +8,8 @@ reparseable.
 
 Beyond ring arithmetic this module provides the characteristic-p
 primitives everything else builds on: the Frobenius power f -> f^p
-(computed by exponent scaling, never by expansion), the ubiquitous
-f^(p-1), by that free power divided exactly by f or by squaring,
-whichever is estimated cheaper, the p-th-root decomposition
+(computed by exponent scaling, never by expansion), powers f^k by the
+base-p digits of k (``packed_power``), the p-th-root decomposition
 f = sum_b x^b * h_b^p (``packed_roots``), and the division engine
 (``divide_terms``) that both exact division here and Groebner reduction
 in ``idealtheory`` run on.
@@ -26,11 +25,13 @@ bytes, so a key is unpacked by one ``struct`` call.  A new term whose
 guard bit is set has left its field; ``PackingOverflow`` is raised and
 ``packed_call`` reruns the computation at the next width, so no field
 ever wraps.  A power packs f once at the width of f^k, where no field can
-overflow, squares and multiplies on int keys (``packed_power``), and
-unpacks once; a chain of products and powers, such as ``rescert``'s
-nested minors, can do the same.  ``Polynomial.__mul__`` stays on exponent
-tuples: a single product would pay for packing and unpacking both
-operands.
+overflow, and unpacks once.  The Frobenius is a ring map, so
+f^k = prod_i (f^(d_i))^[p^i] for the base-p digits d_i of k, where each
+^[p^i] is a key map (``packed_power``); only this module chooses how a
+digit's power is taken (``log_power_cost``).  A chain of products and
+powers, such as ``rescert``'s nested minors, can stay on keys too.
+``Polynomial.__mul__`` stays on exponent tuples: a single product would
+pay for packing and unpacking both operands.
 """
 
 from __future__ import annotations
@@ -389,11 +390,12 @@ class Polynomial:
         return Polynomial._raw(self.context, {m: (a * c) % p for m, a in self.terms.items()})
 
     def __pow__(self, k: int) -> "Polynomial":
-        """f^k by square-and-multiply on packed keys (``packed_power``).
+        """f^k by the base-p digits of k on packed keys (``packed_power``).
 
-        f is packed once at the width that holds every field of f^k, so
-        no field of any f^j with j <= k can overflow, and the result is
-        unpacked once.  A one-term f is raised directly.
+        f is packed once at the width that holds every field of f^k, and
+        of f^p when k = p-1 is taken by division, so no field can
+        overflow, and the result is unpacked once.  A one-term f is raised
+        directly.
         """
         if k < 0:
             raise ValueError("negative power of a polynomial")
@@ -401,12 +403,15 @@ class Polynomial:
             return self.context.one()
         if k == 1 or not self.terms:
             return self
-        p = self.context.p
+        p, n = self.context.p, self.context.arity
         if len(self.terms) == 1:
             ((m, c),) = self.terms.items()
             return Polynomial._raw(self.context, {tuple(e * k for e in m): pow(c, k, p)})
-        pk = packing(grevlex_layout(self.context.arity), fit_bits(k * degree(self.terms)))
-        power = packed_power(pk.pack_terms(self.terms), k, pk.base, p)
+        d = degree(self.terms)
+        # A k of two digits or more is at least p: its width holds f^p.
+        top = p if k == p - 1 and _p_minus_1_route(len(self.terms), n, d, p)[1] else k
+        pk = packing(grevlex_layout(n), fit_bits(top * d))
+        power = packed_power(pk.pack_terms(self.terms), k, d, pk, p)
         return Polynomial._raw(self.context, pk.unpack_terms(power))
 
     def derivative(self, var: int) -> "Polynomial":
@@ -434,33 +439,14 @@ class Polynomial:
         return Polynomial._raw(self.context, {tuple(e * p for e in m): c for m, c in self.terms.items()})
 
     def pow_p_minus_1(self) -> "Polynomial":
-        """f^(p-1), by whichever of two routes is estimated to cost less
-        (``log_p_minus_1_cost``).
-
-        Dividing the free Frobenius power f^p exactly by f costs about
-        |f^(p-1)| * |f| term updates; square-and-multiply (``__pow__``)
-        costs the term products of its multiplications.  Division wins for
-        a sparse f at a large p: for xy + x + 1 at p = 101 it is 5151 * 3
-        updates against 1.86 million products.  Squaring wins for a dense f
-        at a small p: for the 1379-term product of the 4x4 nested minors
-        at p = 3 it is 1379 * 1380 / 2 term products against 61824 * 1379
-        updates, measured at 0.47 s against 53 s (2 cores, Python 3.11),
-        and at p = 2 it costs nothing.  A one-term f, or any f at p = 2,
-        is raised directly, with no degree read.  Raises ZeroDivisionError
-        for f = 0.
+        """f^(p-1), as ``f ** (p-1)``: by dividing the free Frobenius power
+        f^p exactly by f or by squaring, whichever is estimated cheaper
+        (``_p_minus_1_route``).  A one-term f, or any f at p = 2, is raised
+        with no estimate.  Raises ZeroDivisionError for f = 0.
         """
-        if self.p_minus_1_divides():
-            return exact_divide(self.frobenius(), self)
+        if not self.terms:
+            raise ZeroDivisionError("f^(p-1) is undefined for f = 0")
         return self ** (self.context.p - 1)
-
-    def p_minus_1_divides(self) -> bool:
-        """Whether ``pow_p_minus_1`` takes the division route
-        (``log_p_minus_1_cost``); ``packed_p_minus_1`` takes it on packed
-        keys when this is true.  Raises ZeroDivisionError for f = 0."""
-        t, p = len(self.terms), self.context.p
-        # Only an estimate reads the degree, which scans every term.
-        degree = self.total_degree() if t > 1 and p > 2 else 0
-        return log_p_minus_1_cost(t, self.context.arity, degree, p)[1]
 
     # -- comparison and rendering ----------------------------------------
 
@@ -672,33 +658,44 @@ def _packed_square(a: Mapping[int, int], base: int, p: int) -> dict[int, int]:
     return {key: r for key, c in out.items() if (r := c % p)}
 
 
-def packed_power(a: Mapping[int, int], k: int, base: int, p: int) -> Mapping[int, int]:
-    """a^k for k >= 1 by square-and-multiply on packed keys, whose width
-    must hold every field of a^k (then no a^j with j <= k overflows).  A
-    squaring takes each pair of terms once (``_packed_square``)."""
+def packed_power(a: Mapping[int, int], k: int, degree: int, pk: Packing, p: int) -> Mapping[int, int]:
+    """a^k for k >= 1 on packed keys, for nonzero a of total degree
+    ``degree``, as prod_i (a^(d_i))^[p^i] for the base-p digits d_i of k:
+    each digit's power (``_digit_power``) moved to p^i by the key map
+    base + p^i * (key - base), and multiplied in, lowest first.  The width
+    must hold every field of a^k, and of a^p when a digit p-1 divides."""
+    base = pk.base
+    result, place = None, 1
+    while k:
+        k, d = divmod(k, p)
+        if d:
+            power = _digit_power(a, d, degree, pk, p)
+            if place > 1:
+                power = {base + place * (key - base): c for key, c in power.items()}
+            result = power if result is None else packed_product(result, power, base, p)
+        place *= p
+    return result
+
+
+def _digit_power(a: Mapping[int, int], d: int, degree: int, pk: Packing, p: int) -> Mapping[int, int]:
+    """a^d for a base-p digit d >= 1: for d = p-1, when ``_p_minus_1_route``
+    estimates it cheaper, the Frobenius power a^p, whose keys are
+    base + p * (key - base), divided exactly by a; otherwise
+    square-and-multiply, each squaring by ``_packed_square``."""
+    base = pk.base
+    if d == p - 1 and _p_minus_1_route(len(a), len(pk.weights), degree, p)[1]:
+        quotient: dict[int, int] = {}
+        frobenius = {base + p * (key - base): c for key, c in a.items()}
+        divide_terms(frobenius, (make_divisor(a, min(a), p, pk),), p, pk, quotient)
+        return quotient
     result = None
     while True:
-        if k & 1:
+        if d & 1:
             result = a if result is None else packed_product(result, a, base, p)
-        k >>= 1
-        if not k:
+        d >>= 1
+        if not d:
             return result
         a = _packed_square(a, base, p)
-
-
-def packed_p_minus_1(a: Mapping[int, int], divides: bool, pk: Packing, p: int) -> Mapping[int, int]:
-    """a^(p-1) on packed keys, whose width must hold every field of a^p:
-    with ``divides``, by dividing the Frobenius power a^p, whose keys are
-    base + p * (key - base), exactly by a; otherwise by ``packed_power``.
-    ``Polynomial.p_minus_1_divides`` picks the route that
-    ``Polynomial.pow_p_minus_1`` takes."""
-    base = pk.base
-    if not divides:
-        return packed_power(a, p - 1, base, p)
-    frobenius = {base + p * (key - base): c for key, c in a.items()}
-    quotient: dict[int, int] = {}
-    divide_terms(frobenius, (make_divisor(a, min(a), p, pk),), p, pk, quotient)
-    return quotient
 
 
 def packed_roots(terms: Mapping[int, int], pk: Packing, p: int) -> dict[Monomial, dict[int, int]]:
@@ -852,20 +849,19 @@ def log_power_terms(terms: int, arity: int, degree: int, k: int, cap: float) -> 
     return min(_log_binomial(terms - 1, k, cap), _log_binomial(arity, degree * k, cap))
 
 
-def log_power_products(terms: int, arity: int, degree: int, k: int, cap: float) -> float:
-    """The log of the estimated term products ``Polynomial.__pow__`` spends
-    on f^k, for f as in ``log_power_terms``, or a value above ``cap`` once
-    the estimate exceeds ``cap``.  A multiplication costs the product of
-    its operands' ``log_power_terms`` bounds; f^0 and f^1 cost nothing.
-    A squaring is counted at T^2 for T terms, although ``_packed_square``
-    takes T(T+1)/2: the estimate stays an upper bound, and the route
-    choices and refusals built on it stay where they were."""
+def _log_square_and_multiply(terms: int, arity: int, degree: int, k: int, cap: float) -> float:
+    """The log of the estimated term products square-and-multiply
+    (``_digit_power``) spends on f^k, for f as in ``log_power_terms``, or a
+    value above ``cap`` once it exceeds ``cap``: a multiplication costs the
+    product of its operands' bounds.  A squaring is counted at T^2 for T
+    terms, although ``_packed_square`` takes T(T+1)/2: the estimate stays
+    an upper bound."""
 
     def log_terms(j: int) -> float:
         return log_power_terms(terms, arity, degree, j, cap)
 
     total = -inf
-    low, high = 0, 1  # result = f^low and power = f^high, as in __pow__
+    low, high = 0, 1  # result = f^low and power = f^high, as in the kernel
     while k and total <= cap:
         if k & 1:
             if low:
@@ -878,36 +874,57 @@ def log_power_products(terms: int, arity: int, degree: int, k: int, cap: float) 
     return total
 
 
-def log_p_minus_1_cost(terms: int, arity: int, degree: int, p: int) -> tuple[float, bool]:
-    """The log of the estimated cost of ``Polynomial.pow_p_minus_1`` on an
-    f with ``terms`` terms of total degree at most ``degree`` in ``arity``
-    variables, and whether the route it picks divides.
+@lru_cache(maxsize=1024)
+def _p_minus_1_route(terms: int, arity: int, degree: int, p: int) -> tuple[float, bool]:
+    """The log of the estimated cost of f^(p-1), for a nonzero f as in
+    ``log_power_terms``, and whether ``packed_power`` takes it by division.
 
-    Both routes are estimated from the bounds of ``log_power_terms``:
-    division in term updates, squaring in term products
-    (``log_power_products``).  The cost is that of the cheaper route, so
-    it is never above the squaring estimate.  At p = 2 it is nothing, and
-    a one-term f costs one coefficient power.  Needs only f's shape, so a
-    caller can refuse f^(p-1) before f is written out.  Raises
-    ZeroDivisionError for f = 0.
+    f^p / f costs about |f^(p-1)| * |f| term updates, against the term
+    products of square-and-multiply, and the cheaper is taken; a one-term
+    f costs one coefficient power, and at p = 2 f^1 costs nothing.
+    Division wins for a sparse f at a large p: xy + x + 1 at p = 101 is
+    5151 * 3 updates against 1.86 million products.  Squaring wins for a
+    dense f at a small p: the 1379-term product of the 4x4 nested minors
+    at p = 3 is 1379 * 1380 / 2 products against 61824 * 1379 updates,
+    0.47 s against 53 s (2 cores, Python 3.11).  Cached:
+    ``Polynomial.__pow__`` reads the route for its width, then
+    ``packed_power`` and the callers' estimates read it again.
     """
-    if not terms:
-        raise ZeroDivisionError("f^(p-1) is undefined for f = 0")
-    k = p - 1
-    if k == 1:
-        return -inf, False  # f^1 is f
-    if terms == 1:
-        return 0.0, False
-    log_division = log(terms) + log_power_terms(terms, arity, degree, k, inf)
-    log_squaring = log_power_products(terms, arity, degree, k, log_division)
-    if log_squaring > log_division:
-        return log_division, True
-    return log_squaring, False
+    log_division = log(terms) + log_power_terms(terms, arity, degree, p - 1, inf)
+    log_squaring = _log_square_and_multiply(terms, arity, degree, p - 1, log_division)
+    return min(log_squaring, log_division), terms > 1 and log_squaring > log_division
+
+
+def log_power_cost(terms: int, arity: int, degree: int, k: int, p: int, cap: float) -> float:
+    """The log of the estimated term products ``packed_power`` spends on
+    f^k, for a nonzero f as in ``log_power_terms``, or a value above
+    ``cap`` once it exceeds ``cap``; from f's shape alone, so a caller can
+    refuse f^k before f is written out.  Each nonzero base-p digit d of k
+    costs f^d by its route: ``_p_minus_1_route`` for d = p-1, else
+    square-and-multiply.  Multiplying f^d, moved to its place with as many
+    terms, into the powers of the lower digits costs the product of their
+    ``log_power_terms`` bounds.  For k < p it is the cost of k's one digit.
+    """
+    # size: the log bound on the terms of the product so far, -inf (no
+    # product to multiply into) before the first digit.
+    total = size = -inf
+    while k and total <= cap:
+        k, d = divmod(k, p)
+        if d == p - 1:
+            total = _log_add(total, _p_minus_1_route(terms, arity, degree, p)[0])
+        elif d:
+            total = _log_add(total, _log_square_and_multiply(terms, arity, degree, d, cap))
+        if d and (k or size > -inf):  # a product with another digit's power
+            terms_d = log_power_terms(terms, arity, degree, d, cap)
+            total = _log_add(total, size + terms_d)
+            size = terms_d if size == -inf else size + terms_d
+    return total
 
 
 def _log_add(a: float, b: float) -> float:
-    """log(e^a + e^b), without overflow."""
-    return max(a, b) + log1p(exp(-abs(a - b)))
+    """log(e^a + e^b), without overflow; -inf stands for 0."""
+    high = max(a, b)
+    return high if high == -inf else high + log1p(exp(-abs(a - b)))
 
 
 def substitute_zero(f: Polynomial, var: int) -> Polynomial:

@@ -53,7 +53,7 @@ from .fparith import (
     log_power_terms,
     make_divisor,
     packed_call,
-    packed_p_minus_1,
+    packed_power,
     packed_product,
     packed_roots,
     packing,
@@ -651,7 +651,7 @@ def exists_compatible_splitting(I: IdealPresentation) -> ExistsSplitVerdict:
     split on their keys by ``packed_roots``, and the roots go straight to
     ``_buchberger_core``; only the reduced basis is unpacked.  For
     I = (g) the module (g^(p-1)) is not built as a polynomial: g is packed
-    at the width of g^p and raised on keys (``packed_p_minus_1``, by the
+    at the width of g^p and raised on keys (``packed_power``, by the
     route ``pow_p_minus_1`` takes).  ``fedder_module`` scales g^(p-1) by a
     unit, which changes neither the ideal its roots generate nor its
     reduced basis.  An overflow reruns the whole computation wider.
@@ -666,12 +666,12 @@ def exists_compatible_splitting(I: IdealPresentation) -> ExistsSplitVerdict:
     if len(I.generators) == 1:
         _check_fedder_budget(I)
         (g,) = I.generators
-        divides = g.p_minus_1_divides()
+        top = degree(g.terms)
 
         def module(pk: Packing) -> list[dict[int, int]]:
-            return [packed_p_minus_1(pk.pack_terms(g.terms), divides, pk, p)]
+            return [packed_power(pk.pack_terms(g.terms), p - 1, top, pk, p)]
 
-        bits = fit_bits(p * degree(g.terms))
+        bits = fit_bits(p * top)
     else:
         generators = fedder_module(I).generators
 

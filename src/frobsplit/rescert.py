@@ -26,8 +26,8 @@ from .fparith import (
     RingContext,
     fit_bits,
     grevlex_layout,
-    log_p_minus_1_cost,
-    packed_p_minus_1,
+    log_power_cost,
+    packed_power,
     packed_product,
     packing,
     ring,
@@ -256,26 +256,30 @@ def matrix_section_coefficient(ctx: RingContext, n: int) -> Polynomial:
     at the width of the section's degree (p-1)n^2, where no field can
     overflow; for n >= 2 it also holds the degree pk of a k x k minor's
     f^p, which the division route divides.  Each is raised to the p-1 on
-    packed keys by the route ``pow_p_minus_1`` would pick
-    (``fparith.packed_p_minus_1``; at p = 2 the minor itself).  The
-    powers are multiplied in order, except that the one-term powers of
-    the two 1x1 minors come first, where each is a shift of one key.  The
-    section is unpacked once.
+    packed keys by ``fparith.packed_power``, which picks the route (at
+    p = 2 the minor itself).  The powers are multiplied in order, except
+    that the one-term powers of the two 1x1 minors come first, where each
+    is a shift of one key.  The section is unpacked once.
 
     Raises ValueError before any minor is built when one minor's f^(p-1),
     from its k! terms of degree k, is estimated at more than
-    ``MATRIX_PRODUCT_BUDGET`` term products (``fparith.log_p_minus_1_cost``),
+    ``MATRIX_PRODUCT_BUDGET`` term products (``fparith.log_power_cost``),
     and, once a minor's power is built, before a multiplication of the
     product so far by it would take more.
     """
     p = ctx.p
     blocks = sorted(_nested_blocks(ctx, n), key=lambda block: len(block) > 1)
-    divides = {k: _minor_power_route(ctx.arity, k, p) for k in range(1, n + 1)}
+    cap = log(MATRIX_PRODUCT_BUDGET)
+    for k in range(1, n + 1):
+        if log_power_cost(factorial(k), ctx.arity, k, p - 1, p, cap) > cap:
+            raise ValueError(
+                f"matrix too large: raising its {k}x{k} minor to the p-1 takes over"
+                f" {MATRIX_PRODUCT_BUDGET} estimated term products"
+            )
     pk = packing(grevlex_layout(ctx.arity), fit_bits((p - 1) * n * n))
     packed = {pk.base: 1}
     for block in blocks:
-        power = _packed_minor(pk, n, block, block, p)
-        power = packed_p_minus_1(power, divides[len(block)], pk, p)
+        power = packed_power(_packed_minor(pk, n, block, block, p), p - 1, len(block), pk, p)
         products = len(packed) * len(power)
         if products > MATRIX_PRODUCT_BUDGET:
             raise ValueError(
@@ -284,19 +288,6 @@ def matrix_section_coefficient(ctx: RingContext, n: int) -> Polynomial:
             )
         packed = packed_product(packed, power, pk.base, p)
     return Polynomial._raw(ctx, pk.unpack_terms(packed))
-
-
-def _minor_power_route(arity: int, k: int, p: int) -> bool:
-    """Whether the f^(p-1) of a k x k minor, of k! terms of degree k, is
-    taken by division (``log_p_minus_1_cost``); raises ValueError when
-    it is estimated at more than ``MATRIX_PRODUCT_BUDGET`` term products."""
-    cost, divides = log_p_minus_1_cost(factorial(k), arity, k, p)
-    if cost > log(MATRIX_PRODUCT_BUDGET):
-        raise ValueError(
-            f"matrix too large: raising its {k}x{k} minor to the p-1 takes over"
-            f" {MATRIX_PRODUCT_BUDGET} estimated term products"
-        )
-    return divides
 
 
 def render_truncated(f: Polynomial, limit: int = 40) -> str:

@@ -223,9 +223,12 @@ def test_flags_a_subcommand_does_not_read_are_rejected(command, flag, capsys):
         (["semigroup", "--gens", "-3,5"], "generators must be positive integers"),
         (["semigroup", "--gens", "2,-3"], "generators must be positive integers"),
         (["split-check", "-p", "3", "--vars", "x", "x^(2^(2^40))"], "exponent too large"),
-        (["split-check", "-p", "3", "--vars", "x,y", "(x+y)^(10^6)"], "power too large"),
+        # One digit, so nothing cancels: 10^6 + 1 terms.
+        (["split-check", "-p", "1000003", "--vars", "x,y", "(x+y)^(10^6)"], "power too large"),
         (["exists-split", "-p", "1009", "--vars", "x,y", "--ideal", "x*y+x+1"], "Fedder module too large"),
         (["exists-split", "-p", "10007", "--vars", "x,y", "--ideal", "x*y+x+1"], "Fedder module too large"),
+        # 15 digits 1: 3^15 terms.
+        (["split-check", "-p", "2", "--vars", "x,y", "(x+y+1)^(p^15-1)"], "power too large"),
     ],
 )
 def test_oversized_or_negative_input_is_a_quick_usage_error(argv, message, capsys):
@@ -235,6 +238,18 @@ def test_oversized_or_negative_input_is_a_quick_usage_error(argv, message, capsy
     captured = capsys.readouterr()
     _assert_usage_error(code, captured)
     assert message in captured.err
+    assert elapsed < 1.0
+
+
+def test_a_power_sparse_in_characteristic_p_is_checked_at_once(capsys):
+    # (x+y+z)^300 at p = 3 is 54 terms, taken by the base-3 digits of 300;
+    # it was refused as "power too large".
+    start = time.perf_counter()
+    code = main(["split-check", "-p", "3", "--vars", "x,y,z", "(x+y+z)^300"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    assert captured.out.startswith("[PASS] split-check.splitting")
     assert elapsed < 1.0
 
 
@@ -271,7 +286,9 @@ def test_repeated_calls_in_one_process_give_the_same_output(capsys):
 
 VALID = ["x", "x*y + 1", "x + y + 1", "x*y + x + 1", "(x*y)^(p-1)", "(x*y)^(p-1) + x", "x^2*y + y^3", "0", "2"]
 MALFORMED = ["x +", "x^²", "(" * 200 + "x" + ")" * 200, "x */ y", "", "w", "x^-1", "1/0", "x^(1/2)"]
-OVERSIZED = ["(x+y)^(10^6)", "x^(2^(2^40))", "(x+y+1)^(2^20)"]
+# Refused at every prime of PRIMES.  (x+y)^(10^6) and (x+y+1)^(2^20) are
+# not: their powers by base-p digits are small at small p.
+OVERSIZED = ["(x+y+1)^(p^15-1)", "x^(2^(2^40))", "(x+y)^(p^24-1)"]
 # Valid entries are repeated so that more draws are decided.
 EXPRESSIONS = 3 * VALID + MALFORMED + OVERSIZED
 # Primes stay small enough for a Buchberger run whose division steps grow

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from frobsplit import ParseError, Polynomial, parse_expr, ring
 from frobsplit.expr import MAX_NESTING, MAX_TERM_PRODUCTS, _tokenize
-from frobsplit.fparith import _is_variable_name, log_power_products
+from frobsplit import fparith
+from frobsplit.fparith import _is_variable_name
 from _util import rand_poly
 
 
@@ -136,15 +137,14 @@ def test_variable_name_rule_matches_the_tokenizer(text):
     "text, message",
     [
         ("x^(2^(2^40))", "exponent too large"),
-        ("(x+y)^(10^6)", "power too large"),
+        # 15 digits p-1, each a power of 6 terms: over 10^11 terms.
+        ("(x+y+1)^(p^15-1)", "power too large"),
         ("x^(2^1024)", "exponent too large"),
-        ("(x+y+1)^(2^20)", "power too large"),
+        ("(x+y)^(p^24-1)", "power too large"),
         ("(x+y)^(2^1023)", "power too large"),
     ],
 )
 def test_oversized_input_is_refused_before_expansion(text, message, monkeypatch):
-    from frobsplit import Polynomial
-
     def expanded(*args):
         raise AssertionError("expanded before the budget check")
 
@@ -163,6 +163,29 @@ def test_budget_admits_sparse_and_monomial_powers():
     assert parse_expr("(x+y)^(3^6)", ctx) == x_plus_y.frobenius() ** 243
     big = ring(2305843009213693951, "x y")
     assert parse_expr("(x*y)^(p-1)", big) == big.monomial((big.p - 1, big.p - 1))
+
+
+def test_power_is_taken_by_the_digits_of_its_exponent():
+    # 300 = 3^5 + 2 * 3^3 + 3: f^300 = f^[243] * (f^2)^[27] * f^[3], of
+    # 3 * 6 * 3 terms.  It was refused as "power too large".
+    ctx = ring(3, "x y z")
+    f = parse_expr("x+y+z", ctx)
+    power = parse_expr("(x+y+z)^300", ctx)
+    by_frobenius = f
+    for _ in range(5):
+        by_frobenius = by_frobenius.frobenius()
+    square = f * f
+    for _ in range(3):
+        square = square.frobenius()
+    assert power == by_frobenius * square * f.frobenius()
+    assert len(power.terms) == 54
+    # Lucas's theorem: (x+y)^e has prod_i (e_i + 1) terms for the base-p
+    # digits e_i of e.
+    digits, e = [], 10**6
+    while e:
+        e, d = divmod(e, 3)
+        digits.append(d)
+    assert len(parse_expr("(x+y)^(10^6)", ctx).terms) == math.prod(d + 1 for d in digits) == 3888
 
 
 @pytest.mark.parametrize("text, pos", [("x^²", 2), ("x²^2 + ①", 7), ("2² ", 1), ("x^(p-1)½", 7)])
@@ -245,28 +268,33 @@ def test_zero_base_to_the_p_minus_1_is_zero(text, p):
     assert parse_expr(text, ring(p, "x y")).is_zero()
 
 
-def test_p_minus_1_goes_through_pow_p_minus_1(monkeypatch):
+def test_p_minus_1_goes_through_the_power_route(monkeypatch):
+    # The parser's (p-1)-st power is ``Polynomial.__pow__``, so it takes the
+    # route of ``pow_p_minus_1``: for a sparse f at p = 101 the digit p-1
+    # divides f^p by f.
     ctx = ring(101, "x y")
     f = parse_expr("x*y + x + 1", ctx)
     expected = f.pow_p_minus_1()
     assert expected * f == f.frobenius()
-    calls = []
-    route = Polynomial.pow_p_minus_1
-    monkeypatch.setattr(Polynomial, "pow_p_minus_1", lambda g: calls.append(g) or route(g))
+    squared = ctx.monomial((100, 100)) + (ctx.variable("x") + ctx.variable("y")) ** 99
+    powers, divisions = [], []
+    route, divide = fparith.packed_power, fparith.divide_terms
+    monkeypatch.setattr(
+        fparith, "packed_power", lambda a, k, *rest: powers.append((len(a), k)) or route(a, k, *rest)
+    )
+    monkeypatch.setattr(fparith, "divide_terms", lambda *args: divisions.append(args) or divide(*args))
     assert parse_expr("(x*y+x+1)^(p-1)", ctx) == expected
-    assert calls == [f]
+    assert powers == [(3, 100)] and len(divisions) == 1
     # One-term bases are raised directly, and other exponents square.
-    assert parse_expr("(2*x*y)^(p-1) + (x+y)^(p-2)", ctx) == ctx.monomial((100, 100)) + (
-        ctx.variable("x") + ctx.variable("y")
-    ) ** 99
-    assert calls == [f]
+    assert parse_expr("(2*x*y)^(p-1) + (x+y)^(p-2)", ctx) == squared
+    assert powers == [(3, 100), (2, 99)] and len(divisions) == 1
 
 
 def test_p_minus_1_budget_is_that_of_its_route(monkeypatch):
     # Squaring (x+y+1)^210 is estimated over the budget; dividing f^211 by
     # f is not, so it is accepted at p = 211.
     ctx = ring(211, "x y")
-    assert log_power_products(3, 2, 1, 210, math.inf) > math.log(MAX_TERM_PRODUCTS)
+    assert fparith._log_square_and_multiply(3, 2, 1, 210, math.inf) > math.log(MAX_TERM_PRODUCTS)
     f = parse_expr("(x+y+1)^(p-1)", ctx)
     assert len(f.terms) == math.comb(212, 2)
     g = parse_expr("x+y+1", ctx)
@@ -275,7 +303,7 @@ def test_p_minus_1_budget_is_that_of_its_route(monkeypatch):
     def expanded(*args):
         raise AssertionError("expanded before the budget check")
 
-    monkeypatch.setattr(Polynomial, "pow_p_minus_1", expanded)
+    monkeypatch.setattr(Polynomial, "__pow__", expanded)
     start = time.perf_counter()
     with pytest.raises(ParseError, match="power too large: a 5-term polynomial to the 1008") as err:
         parse_expr("(x+y+z+w+1)^(p-1)", ring(1009, "x y z w"))

@@ -6,7 +6,7 @@ import random
 import time
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from frobsplit import (
@@ -25,7 +25,7 @@ from frobsplit import (
     substitute_zero,
 )
 from frobsplit.expr import parse_expr
-from frobsplit.fparith import log_power_products
+from frobsplit.fparith import log_power_cost
 from _util import contexts, grevlex_key, monomial_divides, polys, rand_poly, schoolbook_mul
 
 
@@ -248,13 +248,28 @@ def test_pow_matches_a_multiplication_loop(p, terms, k):
     assert f**k == expected
 
 
+def _digits(k, p):
+    """The base-p digits of k, lowest first."""
+    digits = []
+    while k:
+        k, d = divmod(k, p)
+        digits.append(d)
+    return digits
+
+
 @pytest.mark.parametrize("k", [0, 1, 2, 3, 6, 7, 12, 100])
 def test_log_power_products_counts_pow_multiplications(k):
     # A monomial's powers have one term, so the estimate is the number of
-    # multiplications square-and-multiply makes: its squarings and its
-    # other products.
-    multiplications = max(k.bit_length() - 1, 0) + max(bin(k).count("1") - 1, 0)
-    assert math.exp(log_power_products(1, 1, 1, k, math.inf)) == pytest.approx(multiplications)
+    # multiplications the digit route makes: the squarings and other
+    # products of each nonzero digit's square-and-multiply, and one product
+    # per nonzero digit after the first.  At p = 1009, k is one digit.
+    def multiplications(d):
+        return d.bit_length() - 1 + bin(d).count("1") - 1
+
+    for p in (1009, 11, 3, 2):
+        digits = [d for d in _digits(k, p) if d]
+        expected = sum(map(multiplications, digits)) + max(len(digits) - 1, 0)
+        assert math.exp(log_power_cost(1, 1, 1, k, p, math.inf)) == pytest.approx(expected)
 
 
 @settings(max_examples=100, deadline=None)
@@ -486,8 +501,72 @@ def test_pow_p_minus_1_raises_one_term_f_without_an_estimate(monkeypatch):
 def test_p_minus_1_cost_is_never_above_the_squaring_estimate(terms, arity, degree, p):
     # The parser budgets a (p-1)-st power by this cost, where it used the
     # squaring estimate: no power it accepted is refused now.
-    cost, _ = fparith.log_p_minus_1_cost(terms, arity, degree, p)
-    assert cost <= log_power_products(terms, arity, degree, p - 1, math.inf) + 1e-9
+    cost = log_power_cost(terms, arity, degree, p - 1, p, math.inf)
+    assert cost <= fparith._log_square_and_multiply(terms, arity, degree, p - 1, math.inf) + 1e-9
+
+
+def _by_digits(f, k):
+    """f^k as prod_i (f^[p^i])^(d_i) for the base-p digits d_i of k, each
+    factor by repeated multiplication of the Frobenius power f^[p^i]: tuple
+    arithmetic only, with no packed key.  For k < p it is repeated
+    multiplication."""
+    p = f.context.p
+    result, frobenius = f.context.one(), f
+    for d in _digits(k, p):
+        for _ in range(d):
+            result = result * frobenius
+        frobenius = frobenius.frobenius()
+    return result
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_pow_matches_repeated_multiplication_across_digits(data):
+    p = data.draw(st.sampled_from([2, 3, 5, 7, 101]))
+    ctx = ring(p, "x y")
+    if p == 101:
+        # Sparse, so that a digit p-1 divides f^p by f.
+        f = parse_expr(data.draw(st.sampled_from(["x*y + x + 1", "x + 1", "x^2 + 3*x*y"])), ctx)
+    else:
+        f = data.draw(polys(ctx, max_exp=2, max_terms=3, nonzero=True))
+    boundary = [p - 2, p - 1, p, p + 1, 2 * p - 1, p * p - 1, p * p]
+    k = data.draw(st.sampled_from(boundary) | st.integers(0, p**3))
+    # The reference expands every digit: keep f^k to a few thousand terms.
+    t = len(f.terms)
+    assume(math.prod(math.comb(d + t - 1, t - 1) for d in _digits(k, p)) <= 3000)
+    assert f**k == _by_digits(f, k)
+    if k <= 40:
+        expected = f.context.one()
+        for _ in range(k):
+            expected = expected * f
+        assert f**k == expected
+
+
+@pytest.mark.parametrize(
+    "p, text, k, bits, divisions",
+    [
+        # Degree 3 at p = 43: f^(p-1) has degree 126, in 7-bit fields, but
+        # its division route divides f^p, of degree 129, and needs 15 bits.
+        (43, "x^2*y + x + 1", 42, 15, 1),
+        (43, "x^2*y + x + 1", 41, 7, 0),
+        (43, "x^2*y + x + 1", 2 * 43 - 1, 15, 1),
+        (43, "x^2*y + x + 1", 43 * 43 + 42, 15, 1),
+        # A dense f squares its digit p-1.
+        (5, "(x + y + 1)^2", 4, 7, 0),
+        (101, "x*y + x + 1", 100, 15, 1),
+        (101, "x*y + x + 1", 2 * 101 - 1, 15, 1),
+    ],
+)
+def test_pow_packs_at_the_width_of_its_route(p, text, k, bits, divisions, monkeypatch):
+    ctx = ring(p, "x y")
+    f = parse_expr(text, ctx)
+    expected = _by_digits(f, k)
+    widths, divided = [], []
+    packing, divide = fparith.packing, fparith.divide_terms
+    monkeypatch.setattr(fparith, "packing", lambda layout, b: widths.append(b) or packing(layout, b))
+    monkeypatch.setattr(fparith, "divide_terms", lambda *args: divided.append(args) or divide(*args))
+    assert f**k == expected
+    assert widths == [bits] and len(divided) == divisions
 
 
 # Layouts of each kind: grevlex reads its fields in variable order, lex

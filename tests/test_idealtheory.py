@@ -32,7 +32,7 @@ from frobsplit import (
     ring,
     s_polynomial,
 )
-from frobsplit.fparith import Packing, fit_bits, packing
+from frobsplit.fparith import Packing, _p_minus_1_route, fit_bits, packing
 from _util import (
     contexts,
     ideals,
@@ -1123,7 +1123,7 @@ def test_principal_exists_split_matches_the_module_route(data):
     g = data.draw(polys(ctx, max_exp=2, max_terms=3, nonzero=True))
     # g^(p-1) by division needs p > 3; draw the route, then keep a g that takes it.
     divides = p > 3 and data.draw(st.booleans())
-    assume(g.p_minus_1_divides() == divides)
+    assume(_p_minus_1_route(len(g.terms), ctx.arity, g.total_degree(), p)[1] == divides)
     res = exists_compatible_splitting(ideal(g))
     assert (res.exists, res.obstruction.basis) == _exists_by_the_module(ideal(g))
 
@@ -1149,6 +1149,14 @@ def test_principal_exists_split_packs_at_the_width_of_g_to_the_p(p, expr):
     res = exists_compatible_splitting(I)
     assert (res.exists, res.obstruction.basis) == _exists_by_the_module(I)
     assert not res.exists
+    # Both routes above raise g on packed keys; g^(p-1) by repeated
+    # multiplication does not.
+    (g,) = I.generators
+    power = I.context.one()
+    for _ in range(p - 1):
+        power = power * g
+    G = buchberger(IdealPresentation(I.context, list(frobenius_roots(power).values())))
+    assert (res.exists, res.obstruction.basis) == (G.is_unit_ideal(), G.basis)
 
 
 def _count_unpacking(m):
