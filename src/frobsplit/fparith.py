@@ -28,7 +28,7 @@ ever wraps.  A power packs f once at the width of f^k, where no field can
 overflow, and unpacks once.  The Frobenius is a ring map, so
 f^k = prod_i (f^(d_i))^[p^i] for the base-p digits d_i of k, where each
 ^[p^i] is a key map (``packed_power``); only this module chooses how a
-digit's power is taken (``log_power_cost``).  A chain of products and
+digit's power is taken (``log_power_bounds``).  A chain of products and
 powers, such as ``rescert``'s nested minors, can stay on keys too.
 ``Polynomial.__mul__`` stays on exponent tuples: a single product would
 pay for packing and unpacking both operands.
@@ -738,9 +738,10 @@ coefficient, and its other terms by key."""
 def make_divisor(terms: Mapping[int, int], lead: int, p: int, pk: Packing) -> Divisor:
     """Prepare packed terms, whose leading key is ``lead``, for
     ``divide_terms``; a monic divisor needs no inversion."""
-    c = terms[lead]
+    tail = dict(terms)
+    c = tail.pop(lead)
     inv = 1 if c == 1 else pow(c, p - 2, p)
-    return lead, lead ^ pk.base, inv, tuple((m, c) for m, c in terms.items() if m != lead)
+    return lead, lead ^ pk.base, inv, tuple(tail.items())
 
 
 def divide_terms(
@@ -751,9 +752,11 @@ def divide_terms(
     quotient: dict[int, int] | None = None,
 ) -> dict[int, int]:
     """Multivariate division on packed keys; returns the fully reduced
-    remainder.
+    remainder.  The divisors need not be inter-reduced: by any Groebner
+    basis of an ideal, the remainder is empty exactly for its members.
 
-    The leading term is always reduced by the first divisor whose leading
+    By no divisors, the remainder is the terms, sorted.  Otherwise the
+    leading term is always reduced by the first divisor whose leading
     monomial divides it.  The heap holds bare keys, the smallest being
     the largest monomial; a term that cancels stays on the heap with
     coefficient 0 and is skipped when popped.  A multiple of a tail term
@@ -764,6 +767,8 @@ def divide_terms(
     multiple taken (shift key -> factor); it is the quotient when there
     is a single divisor.
     """
+    if not divisors:
+        return dict(sorted(terms.items()))
     base, guards = pk.base, pk.guards
     work = dict(terms)
     heap = list(work)
@@ -898,12 +903,27 @@ def _p_minus_1_route(terms: int, arity: int, degree: int, p: int) -> tuple[float
 def log_power_cost(terms: int, arity: int, degree: int, k: int, p: int, cap: float) -> float:
     """The log of the estimated term products ``packed_power`` spends on
     f^k, for a nonzero f as in ``log_power_terms``, or a value above
-    ``cap`` once it exceeds ``cap``; from f's shape alone, so a caller can
-    refuse f^k before f is written out.  Each nonzero base-p digit d of k
-    costs f^d by its route: ``_p_minus_1_route`` for d = p-1, else
-    square-and-multiply.  Multiplying f^d, moved to its place with as many
-    terms, into the powers of the lower digits costs the product of their
-    ``log_power_terms`` bounds.  For k < p it is the cost of k's one digit.
+    ``cap`` once it exceeds ``cap``: ``log_power_bounds`` without the
+    bound on the terms of f^k."""
+    return log_power_bounds(terms, arity, degree, k, p, cap)[0]
+
+
+def log_power_bounds(terms: int, arity: int, degree: int, k: int, p: int, cap: float) -> tuple[float, float]:
+    """The log of the estimated term products ``packed_power`` spends on
+    f^k, for a nonzero f as in ``log_power_terms``, and the log of its
+    bound on the terms of f^k when k has two nonzero base-p digits or
+    more.  Either is a value above ``cap`` once it exceeds ``cap``; once
+    the products do, the higher digits are not read, and the term bound
+    covers only the lower ones.  From f's shape alone, so a caller can
+    refuse f^k before f is written out.  Each nonzero digit d of k costs
+    f^d by its route: ``_p_minus_1_route`` for d = p-1, else
+    square-and-multiply.  Multiplying f^d, moved to its place with as
+    many terms, into the powers of the lower digits costs the product of
+    their ``log_power_terms`` bounds, and the terms of f^k are bounded by
+    the product of every digit's bound.  For one nonzero digit there is
+    no product, and the term bound is -inf: f^k is f^d moved, which is f
+    for d = 1, and otherwise costs its route a term product at least for
+    each of its terms, so the products bound its terms too.
     """
     # size: the log bound on the terms of the product so far, -inf (no
     # product to multiply into) before the first digit.
@@ -918,7 +938,7 @@ def log_power_cost(terms: int, arity: int, degree: int, k: int, p: int, cap: flo
             terms_d = log_power_terms(terms, arity, degree, d, cap)
             total = _log_add(total, size + terms_d)
             size = terms_d if size == -inf else size + terms_d
-    return total
+    return total, size
 
 
 def _log_add(a: float, b: float) -> float:

@@ -11,20 +11,23 @@ elements packed in one slot, filled on first use, so a normal form packs
 only the polynomial reduced; its leading monomials are read from there.
 S-pairs wait on a heap keyed by the order key of their lcm (the normal
 selection strategy, ties broken by index), pruned by the Gebauer-Moller
-update as each element arrives.  The result is inter-reduced, so the
-basis returned for given generators and order is unique and the whole
-pipeline is deterministic.  On top of it sit the Frobenius bracket power
-I^[p], colon ideals by tag-variable elimination, the colon module
-(I^[p] : I) whose elements are exactly the coefficients of twisted
-endomorphisms compatible with I (Fedder's criterion; (g^[p] : g) is
-(g^(p-1)) for I = (g)), the compatibility check in two independent
-forms, each on packed keys with a basis of its own (Fedder's, membership
-of c * g in I^[p] for each generator g against a basis of I^[p], with no
-colon built; and the finite one, membership in I of every p-th root of
-c * g against a basis of I, which cross-validates it), the existence
-test for compatible splittings on the same p-th-root decomposition, and
-nilpotency witnesses.  Fedder modules that would be too large are
-refused before anything is built (``FEDDER_TERM_BUDGET``).
+update as each element arrives.  A run ends with a minimal basis, which
+decides membership as any Groebner basis does.  Where a basis is unpacked
+(``buchberger``, ``intersect``, the existence test) it is inter-reduced
+first, so the basis returned for given generators and order is the
+unique reduced one and the whole pipeline is deterministic.  On top of
+it sit the Frobenius bracket power I^[p], colon ideals by tag-variable
+elimination, the colon module (I^[p] : I) whose elements are exactly the
+coefficients of twisted endomorphisms compatible with I (Fedder's
+criterion; (g^[p] : g) is (g^(p-1)) for I = (g)), the compatibility
+check in two independent forms, each on packed keys with a minimal basis
+of its own, never inter-reduced (Fedder's, membership of c * g in I^[p]
+for each generator g against a basis of I^[p], with no colon built; and
+the finite one, membership in I of every p-th root of c * g against a
+basis of I, which cross-validates it), the existence test for compatible
+splittings on the same p-th-root decomposition, and nilpotency
+witnesses.  Fedder modules that would be too large are refused before
+anything is built (``FEDDER_TERM_BUDGET``).
 """
 
 from __future__ import annotations
@@ -259,7 +262,8 @@ def buchberger(I: IdealPresentation, order: MonomialOrder = GREVLEX) -> Groebner
     whose lcm LM(h) divides while differing from both lcms with LM(h).
     Active elements whose leading monomial LM(h) divides stop forming
     pairs and dividing.  The active elements at the end form a minimal
-    basis; it is inter-reduced and sorted by decreasing leading monomial.
+    basis, sorted by decreasing leading monomial; each tail is then
+    reduced by the other elements, which leaves the reduced basis.
 
     All of this runs on packed keys (``fparith.Packing``): elements,
     S-polynomials and pair lcms are ints, divisibility is a guard-bit
@@ -281,13 +285,15 @@ def _buchberger(I: IdealPresentation, order: MonomialOrder, pk: Packing) -> Groe
 
 
 def _unpack_basis(
-    ctx: RingContext, order: MonomialOrder, pk: Packing, divisors: list[Divisor], leads: list[Monomial]
+    ctx: RingContext, order: MonomialOrder, pk: Packing, minimal: list[Divisor], leads: list[Monomial]
 ) -> GroebnerBasis:
-    """The ``GroebnerBasis`` of a result of ``_buchberger_core``: each
-    monic element's tail unpacked once, behind its leading term."""
+    """The reduced ``GroebnerBasis`` of a result of ``_buchberger_core``:
+    its tails inter-reduced (``_reduce_tails``), then each monic element's
+    tail unpacked once, behind its leading term."""
     unpack = pk.unpack_terms
     basis = tuple(
-        Polynomial._raw(ctx, {lt: 1} | unpack(dict(tail))) for lt, (_, _, _, tail) in zip(leads, divisors)
+        Polynomial._raw(ctx, {lt: 1} | unpack(dict(tail)))
+        for lt, (_, _, _, tail) in zip(leads, _reduce_tails(minimal, ctx.p, pk))
     )
     return GroebnerBasis(ctx, order, basis)
 
@@ -295,22 +301,27 @@ def _unpack_basis(
 def _buchberger_core(
     generators: list[dict[int, int]], p: int, pk: Packing
 ) -> tuple[list[Divisor], list[Monomial]]:
-    """The reduced Groebner basis of nonzero packed generators, as monic
+    """A minimal Groebner basis of nonzero packed generators, as monic
     divisors for ``divide_terms`` sorted by decreasing leading monomial,
     and those leading monomials; ``buchberger`` describes the algorithm.
-    Raises ``PackingOverflow`` when a field leaves its range."""
+    Its tails are not inter-reduced: any Groebner basis decides
+    membership, and ``_reduce_tails`` makes it the reduced one where a
+    basis is unpacked.  Raises ``PackingOverflow`` when a field leaves
+    its range."""
     base, guards = pk.base, pk.guards
-    monic: dict[frozenset, dict[int, int]] = {}
+    # Each monic generator once, by its terms in descending order of the
+    # monomials, i.e. ascending packed keys negated; the generators are
+    # inserted in the order of those keys.
+    monic: dict[tuple, dict[int, int]] = {}
     for terms in generators:
-        c = terms[min(terms)]
+        items = sorted(terms.items())
+        c = items[0][1]
         if c != 1:
             inv = pow(c, p - 2, p)
-            terms = {m: v * inv % p for m, v in terms.items()}
-        monic[frozenset(terms.items())] = terms
-    # Descending keys of the order, i.e. ascending packed keys negated.
-    gens = sorted(
-        monic.values(), key=lambda g: sorted(((-m, c) for m, c in g.items()), reverse=True)
-    )
+            items = [(m, v * inv % p) for m, v in items]
+            terms = dict(items)
+        monic[tuple([(-m, v) for m, v in items])] = terms
+    gens = [monic[key] for key in sorted(monic)]
 
     elements: list[Divisor] = []
     leads: list[Monomial] = []
@@ -325,13 +336,15 @@ def _buchberger_core(
         r = divide_terms(terms, [elements[a] for a in active], p, pk)
         if not r:
             return
-        lead, c = next(iter(r.items()))
+        # The remainder's terms come out in descending order: the first leads.
+        items = tuple(r.items())
+        lead, c = items[0]
         if c != 1:
             inv = pow(c, p - 2, p)
-            r = {m: v * inv % p for m, v in r.items()}
+            items = tuple([(m, v * inv % p) for m, v in items])
         k = len(elements)
-        elements.append(make_divisor(r, lead, p, pk))
         lead_pos = lead ^ base
+        elements.append((lead, lead_pos, 1, items[1:]))
         lt = pk.unpack(lead)
         leads.append(lt)
         # With the positive forms of the lcms: x^a divides x^b iff
@@ -343,12 +356,14 @@ def _buchberger_core(
         kept: list[tuple[int, Monomial, int, int, bool]] = []
         for n, (i, lcm, key, pos) in enumerate(new):
             coprime = key == elements[i][0] + lead - base
-            here = pos | guards
-            if coprime or not (
-                any((here - other[3]) & guards == guards for other in new[n + 1 :])
-                or any((here - other[3]) & guards == guards for other in kept)
-            ):
-                kept.append((i, lcm, key, pos, coprime))
+            # The chain criterion, among the new pairs: one pair has no other.
+            if not coprime and len(new) > 1:
+                here = pos | guards
+                if any((here - other[3]) & guards == guards for other in new[n + 1 :]) or any(
+                    (here - other[3]) & guards == guards for other in kept
+                ):
+                    continue
+            kept.append((i, lcm, key, pos, coprime))
         for pair in pairs:
             pos = pair[3]
             if (
@@ -372,13 +387,17 @@ def _buchberger_core(
             insert(_s_terms(elements[i], elements[j], -key, p, guards))
 
     active.sort(key=lambda i: elements[i][0])
-    minimal = [elements[i] for i in active]
-    # Reduce each tail against the others; the monic leading terms survive.
-    divisors = []
-    for n, (lead, lead_pos, _, tail) in enumerate(minimal):
-        rest = divide_terms(dict(tail), minimal[:n] + minimal[n + 1 :], p, pk)
-        divisors.append((lead, lead_pos, 1, tuple(rest.items())))
-    return divisors, [leads[i] for i in active]
+    return [elements[i] for i in active], [leads[i] for i in active]
+
+
+def _reduce_tails(minimal: list[Divisor], p: int, pk: Packing) -> list[Divisor]:
+    """The reduced Groebner basis of a minimal one from
+    ``_buchberger_core``: each tail reduced by the other elements, in the
+    same order; the monic leading terms survive."""
+    return [
+        (lead, lead_pos, 1, tuple(divide_terms(dict(tail), minimal[:n] + minimal[n + 1 :], p, pk).items()))
+        for n, (lead, lead_pos, _, tail) in enumerate(minimal)
+    ]
 
 
 def normal_form(f: Polynomial, G: GroebnerBasis) -> Polynomial:
@@ -435,9 +454,9 @@ def intersect(A: IdealPresentation, B: IdealPresentation) -> IdealPresentation:
         for g in B.generators:
             terms = {sum(map(mul, m, weights), base): c for m, c in g.terms.items()}
             gens.append(terms | {key + tag: p - c for key, c in terms.items()})
-        divisors, leads = _buchberger_core(gens, p, pk)
+        minimal, leads = _buchberger_core(gens, p, pk)
         kept = []
-        for lt, (_, _, _, tail) in zip(leads, divisors):
+        for lt, (_, _, _, tail) in zip(leads, _reduce_tails(minimal, p, pk)):
             if not lt[0]:
                 terms = {lt[1:]: 1}
                 for m, c in tail:
@@ -540,10 +559,12 @@ def is_compatible(
     single g is its own basis), coeff * g formed and split into its roots
     on keys (``fparith.packed_roots``), with nothing unpacked, and one
     division per root, stopping at the first that leaves a remainder; the
-    whole check reruns wider if a field overflows.  The two bases, of
-    I^[p] and of I, come from separate runs on separate generators, so
-    "both" compares two independent computations: it runs the two and
-    raises if they disagree.  Neither builds a Fedder module, so
+    whole check reruns wider if a field overflows.  Each basis is the
+    minimal one its run ends with, not inter-reduced, as it only decides
+    membership (``_packed_basis``).  The two bases, of I^[p] and of I,
+    come from separate runs on separate generators, so "both" compares
+    two independent computations: it runs the two and raises if they
+    disagree.  Neither builds a Fedder module, so
     ``FEDDER_TERM_BUDGET`` does not apply.
     """
     if sigma.context != I.context:
@@ -569,7 +590,10 @@ def is_compatible(
 def _packed_basis(gens: list[dict[int, int]], p: int, pk: Packing) -> list[Divisor]:
     """A Groebner basis of the ideal of nonzero packed generators, as
     divisors for ``divide_terms``: one generator is its own, more go
-    through ``_buchberger_core``."""
+    through ``_buchberger_core``, whose minimal basis is taken as it is.
+    It only decides membership, by an empty remainder, which any Groebner
+    basis does; inter-reducing it would cost divisions and change no
+    verdict."""
     if len(gens) == 1:
         (g,) = gens
         return [make_divisor(g, min(g), p, pk)]

@@ -229,6 +229,8 @@ def test_flags_a_subcommand_does_not_read_are_rejected(command, flag, capsys):
         (["exists-split", "-p", "10007", "--vars", "x,y", "--ideal", "x*y+x+1"], "Fedder module too large"),
         # 15 digits 1: 3^15 terms.
         (["split-check", "-p", "2", "--vars", "x,y", "(x+y+1)^(p^15-1)"], "power too large"),
+        # 6.9 million term products, under their budget, for 4,762,800 terms.
+        (["split-check", "-p", "7", "--vars", "x,y", "(x+y+1)^(2^20)"], "power too large"),
     ],
 )
 def test_oversized_or_negative_input_is_a_quick_usage_error(argv, message, capsys):
@@ -286,9 +288,11 @@ def test_repeated_calls_in_one_process_give_the_same_output(capsys):
 
 VALID = ["x", "x*y + 1", "x + y + 1", "x*y + x + 1", "(x*y)^(p-1)", "(x*y)^(p-1) + x", "x^2*y + y^3", "0", "2"]
 MALFORMED = ["x +", "x^²", "(" * 200 + "x" + ")" * 200, "x */ y", "", "w", "x^-1", "1/0", "x^(1/2)"]
-# Refused at every prime of PRIMES.  (x+y)^(10^6) and (x+y+1)^(2^20) are
-# not: their powers by base-p digits are small at small p.
-OVERSIZED = ["(x+y+1)^(p^15-1)", "x^(2^(2^40))", "(x+y)^(p^24-1)"]
+# Refused at every prime of PRIMES; at p = 2, (x+y+1)^(p^11-1) only by the
+# bound on its terms, 3^11, as its term products are under their budget.
+# (x+y)^(10^6) and (x+y+1)^(2^20) are not: their powers by base-p digits
+# are small at small p (at p = 2, x^(2^20) + y^(2^20) + 1).
+OVERSIZED = ["(x+y+1)^(p^15-1)", "x^(2^(2^40))", "(x+y)^(p^24-1)", "(x+y+1)^(p^11-1)"]
 # Valid entries are repeated so that more draws are decided.
 EXPRESSIONS = 3 * VALID + MALFORMED + OVERSIZED
 # Primes stay small enough for a Buchberger run whose division steps grow

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from frobsplit import ParseError, Polynomial, parse_expr, ring
-from frobsplit.expr import MAX_NESTING, MAX_TERM_PRODUCTS, _tokenize
+from frobsplit.expr import MAX_NESTING, MAX_POWER_TERMS, MAX_TERM_PRODUCTS, _tokenize
 from frobsplit import fparith
 from frobsplit.fparith import _is_variable_name
 from _util import rand_poly
@@ -186,6 +186,30 @@ def test_power_is_taken_by_the_digits_of_its_exponent():
         e, d = divmod(e, 3)
         digits.append(d)
     assert len(parse_expr("(x+y)^(10^6)", ctx).terms) == math.prod(d + 1 for d in digits) == 3888
+
+
+def test_a_power_with_few_products_and_many_terms_is_refused(monkeypatch):
+    # (x+y+1)^(2^20) at p = 7 is 4,762,800 terms, by 6.9 million term
+    # products: under MAX_TERM_PRODUCTS, it was built in 11.7 s.  The bound
+    # on its terms comes from the same estimate as its products.
+    ctx = ring(7, "x y")
+    cap = math.log(MAX_TERM_PRODUCTS)
+    products, terms = fparith.log_power_bounds(3, 2, 1, 2**20, 7, cap)
+    assert products < cap
+    assert round(math.exp(terms)) == 4762800 > MAX_POWER_TERMS
+
+    def expanded(*args):
+        raise AssertionError("expanded before the budget check")
+
+    monkeypatch.setattr(Polynomial, "__pow__", expanded)
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="power too large: a 3-term polynomial to the 1048576") as err:
+        parse_expr("(x+y+1)^(2^20)", ctx)
+    assert err.value.pos == 7
+    assert time.perf_counter() - start < 1.0
+    # At p = 2 it is x^(2^20) + y^(2^20) + 1, and admitted.
+    monkeypatch.undo()
+    assert len(parse_expr("(x+y+1)^(2^20)", ring(2, "x y")).terms) == 3
 
 
 @pytest.mark.parametrize("text, pos", [("x^²", 2), ("x²^2 + ①", 7), ("2² ", 1), ("x^(p-1)½", 7)])

@@ -32,7 +32,7 @@ from frobsplit import (
     ring,
     s_polynomial,
 )
-from frobsplit.fparith import Packing, _p_minus_1_route, fit_bits, packing
+from frobsplit.fparith import Packing, _p_minus_1_route, degree, divide_terms, fit_bits, packed_call, packing
 from _util import (
     contexts,
     ideals,
@@ -813,8 +813,10 @@ def test_principal_fedder_module_at_a_large_prime_is_quick():
 def _probe_fedder(m):
     """Count the Fedder check's work through ``m`` (a MonkeyPatch): the
     generators of every run of the Buchberger core that finished,
-    unpacked, and the ``divide_terms`` calls made outside the core, which
-    are the membership tests of c * g."""
+    unpacked, and the ``divide_terms`` calls made outside the core.  The
+    checks divide by the core's minimal basis as it is, with no
+    inter-reduction (``_reduce_tails``), so those calls are the
+    membership tests of c * g, or of its roots."""
     import frobsplit.idealtheory as idealtheory
 
     core, divide = idealtheory._buchberger_core, idealtheory.divide_terms
@@ -1209,3 +1211,117 @@ def test_principal_exists_split_unpacks_only_the_obstruction_basis(p, expr, monk
     leads = [leading(h, MonomialOrder.grevlex())[0] for h in res.obstruction.basis]
     tails = [{m: c for m, c in h.terms.items() if m != lt} for h, lt in zip(res.obstruction.basis, leads)]
     assert unpacked == tails
+
+
+# Ideals of F_3[x0, x1] whose minimal basis from the core is not reduced
+# under any order of ORDERS: an S-polynomial adds an element whose leading
+# monomial divides a tail term of an earlier one.
+NOT_REDUCED = [
+    ("x0^2 + 2*x0*x1", "x0^2 + x0*x1"),
+    ("x0 + 2*x1 + 1", "x0*x1 + 2*x1^2"),
+    ("2*x0^3 + x0^2*x1 + x1", "x0^3 + x0"),
+]
+
+
+def _minimal_basis(I, pk):
+    """The core's minimal basis of I, packed with ``pk``."""
+    import frobsplit.idealtheory as idealtheory
+
+    return idealtheory._buchberger_core([pk.pack_terms(g.terms) for g in I.generators], I.context.p, pk)[0]
+
+
+def _assert_reduced(G):
+    """Every element of G is monic, and no term of one is divisible by the
+    leading monomial of another."""
+    leads = [leading(g, G.order) for g in G.basis]
+    assert all(c == 1 for _, c in leads)
+    for i, g in enumerate(G.basis):
+        for j, (lm, _) in enumerate(leads):
+            assert i == j or not any(monomial_divides(lm, m) for m in g.terms)
+
+
+@pytest.mark.parametrize("gens", NOT_REDUCED)
+@pytest.mark.parametrize("order", ORDERS, ids=lambda o: o.kind)
+def test_the_core_returns_a_minimal_basis_that_reduces_to_the_reduced_one(gens, order):
+    import frobsplit.idealtheory as idealtheory
+
+    ctx = ring(3, "x0 x1")
+    I = _ideal(ctx, *gens)
+    pk = packing(order.layout(ctx.arity), fit_bits(6))
+    minimal = _minimal_basis(I, pk)
+    reduced = idealtheory._reduce_tails(minimal, ctx.p, pk)
+    assert minimal != reduced
+    assert [d[:3] for d in minimal] == [d[:3] for d in reduced]
+    G = buchberger(I, order)
+    _assert_reduced(G)
+    assert [pk.pack_terms(g.terms) for g in G.basis] == [{lead: 1} | dict(tail) for lead, _, _, tail in reduced]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_membership_by_the_minimal_basis_matches_the_reduced_basis(data):
+    order = data.draw(st.sampled_from(ORDERS))
+    ctx = data.draw(contexts.filter(lambda c: order.kind != "elim" or c.arity > 1))
+    if ctx.arity == 2 and data.draw(st.booleans()):
+        I = _ideal(ctx, *data.draw(st.sampled_from(NOT_REDUCED)))
+    else:
+        I = data.draw(ideals(ctx, max_gens=3))
+    kind = data.draw(st.sampled_from(["random", "member", "member plus a term"]))
+    if kind == "random":
+        f = data.draw(polys(ctx, max_exp=3, max_terms=4))
+    else:
+        f = ctx.zero()
+        for g in I.generators:
+            f = f + data.draw(polys(ctx, max_exp=2, max_terms=2)) * g
+        if kind != "member":
+            f = f + data.draw(polys(ctx, max_exp=1, max_terms=1, nonzero=True))
+    p = ctx.p
+
+    def run(pk):
+        return not divide_terms(pk.pack_terms(f.terms), _minimal_basis(I, pk), p, pk)
+
+    top = max(degree(h.terms) for h in I.generators + ((f,) if f.terms else ()))
+    verdict = packed_call(packing(order.layout(ctx.arity), fit_bits(top)), run)
+    assert verdict is buchberger(I, order).contains(f)
+    if kind == "member":
+        assert verdict is True
+
+
+def test_compatibility_checks_make_no_inter_reduction_division(monkeypatch):
+    import frobsplit.idealtheory as idealtheory
+
+    ctx = ring(3, "x0 x1")
+    I = _ideal(ctx, *NOT_REDUCED[0])
+    Ip = frobenius_power_ideal(I)
+    pk = packing(MonomialOrder.grevlex().layout(2), fit_bits(15))
+    # Both bases the checks divide by are minimal and not reduced.
+    for J in (I, Ip):
+        minimal = _minimal_basis(J, pk)
+        assert minimal != idealtheory._reduce_tails(minimal, ctx.p, pk)
+    sections = [ctx.one(), _product_power(I), parse_expr("x0^2*x1^5 + x1^4 + 2", ctx)]
+    expected = [is_compatible(TwistedEndo(c), I, "both") for c in sections]
+    assert expected[1] is True
+
+    def inter_reduced(*args):
+        raise AssertionError("a compatibility check inter-reduced its basis")
+
+    for method in ("fedder", "finite"):
+        for c, verdict in zip(sections, expected):
+            with monkeypatch.context() as m:
+                runs, memberships = _probe_fedder(m)
+                m.setattr(idealtheory, "_reduce_tails", inter_reduced)
+                assert is_compatible(TwistedEndo(c), I, method) is verdict
+            # One run of the core; outside it, only the membership tests
+            # divide, and the Fedder check makes one per generator at most.
+            assert len(runs) == 1 and memberships
+            assert method == "finite" or len(memberships) <= len(I.generators)
+    # Where a basis is unpacked, it is the reduced one.
+    _assert_reduced(buchberger(I))
+    J = _ideal(ctx, "x0*x1 + x1^2", "x0^2")
+    got = intersect(I, J)
+    assert [list(g.terms.items()) for g in got.generators] == [
+        list(g.terms.items()) for g in tagged_intersect(I, J).generators
+    ]
+    _assert_reduced(buchberger(got))
+    assert list(buchberger(got).basis) == list(got.generators)
+    _assert_reduced(exists_compatible_splitting(I).obstruction)
