@@ -28,22 +28,19 @@ Parentheses nest at most ``MAX_NESTING`` levels deep, as the parser and
 the evaluators recurse once per level.  Evaluation has a size budget,
 checked before anything is expanded: an integer in an exponent, and
 every exponent a power produces, has at most ``MAX_EXPONENT_BITS`` bits,
-and a product or power whose estimated work in term products exceeds
-``MAX_TERM_PRODUCTS`` is refused, as is a power of several base-p digits
-whose bound on its terms exceeds ``MAX_POWER_TERMS``.  A power is
-estimated by the route it takes (``fparith.log_power_bounds``): the
-powers of the base-p digits of e and their products, so a power that
-characteristic p keeps sparse, such as (x+y+z)^300 at p = 3, is
-admitted.  Errors are found depth first, left to right, and are
-``ParseError``.
+a product of more than ``fparith.MAX_TERM_PRODUCTS`` term products is
+refused, as is a power that ``fparith.power_too_large`` refuses.  That
+gate estimates a power by the route it takes: the powers of the base-p
+digits of e and their products, so a power that characteristic p keeps
+sparse, such as (x+y+z)^300 at p = 3, is admitted.  Errors are found
+depth first, left to right, and are ``ParseError``.
 """
 
 from __future__ import annotations
 
-from math import log
 from operator import add
 
-from .fparith import Monomial, Polynomial, RingContext, log_power_bounds
+from .fparith import MAX_TERM_PRODUCTS, Monomial, Polynomial, RingContext, power_too_large
 
 
 class ParseError(ValueError):
@@ -203,24 +200,6 @@ sum, a product, a minus and a power; ``_eval_int`` fewer), so the deepest
 input takes about 750 of the interpreter's default limit of 1000 frames,
 and the rest is left to the caller."""
 
-MAX_TERM_PRODUCTS = 10**7
-"""Term products allowed, by estimate, in one product or power, a few
-seconds of work: (x+y)^(10^6) at p = 1000003, whose exponent is one
-digit, is refused at once.  It bounds the work, not the result: a power
-of several base-p digits can stay under it with millions of terms, which
-``MAX_POWER_TERMS`` bounds."""
-
-MAX_POWER_TERMS = 10**5
-"""Terms allowed, by the bound ``fparith.log_power_bounds`` gives, in a
-power whose exponent has two nonzero base-p digits or more; a power of
-one digit has at least as many term products as terms.
-(x+y+1)^(2^20) at p = 7 is estimated at 6.9 million term products, under
-``MAX_TERM_PRODUCTS``, but its digits bound it at 4,762,800 terms, which
-took 11.7 s to build (2 cores, Python 3.11); it is refused at once.
-(x+y+z)^300 and (x+y)^(10^6) at p = 3, of 54 and 3888 terms, are
-admitted."""
-
-
 def _check_bits(bits: int, pos: int) -> None:
     if bits > MAX_EXPONENT_BITS:
         raise ParseError(f"exponent too large: over {MAX_EXPONENT_BITS} bits", pos)
@@ -352,16 +331,12 @@ class _Evaluator:
 
     def power(self, f: Terms, e: int, pos: int) -> Terms:
         """f^e, after checking its exponents and, for an f of more than
-        one term, the estimated term products of its route and the bound
-        on its terms against their budgets."""
+        one term and e >= 2, its size (``fparith.power_too_large``)."""
         if f:
             t, d = len(f), max(map(sum, f))
             _check_bits((d * e).bit_length(), pos)
-            cap = log(MAX_TERM_PRODUCTS)
-            if t > 1:
-                products, terms = log_power_bounds(t, self.context.arity, d, e, self.p, cap)
-                if products > cap or terms > log(MAX_POWER_TERMS):
-                    raise ParseError(f"power too large: a {t}-term polynomial to the {e}", pos)
+            if t > 1 and e > 1 and power_too_large(t, self.context.arity, d, e, self.p):
+                raise ParseError(f"power too large: a {t}-term polynomial to the {e}", pos)
         return (Polynomial._raw(self.context, f) ** e).terms
 
 

@@ -28,8 +28,11 @@ ever wraps.  A power packs f once at the width of f^k, where no field can
 overflow, and unpacks once.  The Frobenius is a ring map, so
 f^k = prod_i (f^(d_i))^[p^i] for the base-p digits d_i of k, where each
 ^[p^i] is a key map (``packed_power``); only this module chooses how a
-digit's power is taken (``log_power_bounds``).  A chain of products and
-powers, such as ``rescert``'s nested minors, can stay on keys too.
+digit's power is taken (``log_power_bounds``), and only it decides
+whether a power is too large to build (``power_too_large``, which the
+parser, the Fedder module and the nested-minor section ask first).  A
+chain of products and powers, such as ``rescert``'s nested minors, can
+stay on keys too.
 ``Polynomial.__mul__`` stays on exponent tuples: a single product would
 pay for packing and unpacking both operands.
 """
@@ -879,10 +882,33 @@ def _log_square_and_multiply(terms: int, arity: int, degree: int, k: int, cap: f
     return total
 
 
+MAX_TERM_PRODUCTS = 10**7
+"""Term products allowed, by estimate, in one product or power, a few
+seconds of work: (x+y)^(10^6) at p = 1000003, whose exponent is one
+digit, is refused at once.  It bounds the work, not the result, which
+``MAX_POWER_TERMS`` bounds."""
+
+MAX_POWER_TERMS = 10**5
+"""Terms allowed, by the bound of ``log_power_bounds``, in a power f^k.
+(x+y+1)^(2^20) at p = 7 is estimated at 6.9 million term products, under
+``MAX_TERM_PRODUCTS``, but its digits bound it at 4,762,800 terms, which
+took 11.7 s to build; (x+y+1)^(p-1) at p = 2003, one digit, built
+2,007,006 terms in 4.9 s (2 cores, Python 3.11).  Both are refused at
+once.  (x+y+z)^300 and (x+y)^(10^6) at p = 3, of 54 and 3888 terms, are
+admitted."""
+
+_ROUTE_CAP = 64 * log(2)
+"""The log of 2^64 term products, far above any budget, up to which
+``_p_minus_1_route`` estimates exactly, so that each of its log-binomial
+sums stops within 64 steps however large f or p is."""
+
+
 @lru_cache(maxsize=1024)
-def _p_minus_1_route(terms: int, arity: int, degree: int, p: int) -> tuple[float, bool]:
+def _p_minus_1_route(terms: int, arity: int, degree: int, p: int) -> tuple[float, bool, float]:
     """The log of the estimated cost of f^(p-1), for a nonzero f as in
-    ``log_power_terms``, and whether ``packed_power`` takes it by division.
+    ``log_power_terms``, whether ``packed_power`` takes it by division,
+    and the log of the bound on the terms of f^(p-1); each is a value
+    above ``_ROUTE_CAP`` once it exceeds ``_ROUTE_CAP``.
 
     f^p / f costs about |f^(p-1)| * |f| term updates, against the term
     products of square-and-multiply, and the cheaper is taken; a one-term
@@ -893,37 +919,27 @@ def _p_minus_1_route(terms: int, arity: int, degree: int, p: int) -> tuple[float
     at p = 3 is 1379 * 1380 / 2 products against 61824 * 1379 updates,
     0.47 s against 53 s (2 cores, Python 3.11).  Cached:
     ``Polynomial.__pow__`` reads the route for its width, then
-    ``packed_power`` and the callers' estimates read it again.
+    ``packed_power`` and ``power_too_large`` read it again.
     """
-    log_division = log(terms) + log_power_terms(terms, arity, degree, p - 1, inf)
+    log_terms = log_power_terms(terms, arity, degree, p - 1, _ROUTE_CAP)
+    log_division = log(terms) + log_terms
     log_squaring = _log_square_and_multiply(terms, arity, degree, p - 1, log_division)
-    return min(log_squaring, log_division), terms > 1 and log_squaring > log_division
-
-
-def log_power_cost(terms: int, arity: int, degree: int, k: int, p: int, cap: float) -> float:
-    """The log of the estimated term products ``packed_power`` spends on
-    f^k, for a nonzero f as in ``log_power_terms``, or a value above
-    ``cap`` once it exceeds ``cap``: ``log_power_bounds`` without the
-    bound on the terms of f^k."""
-    return log_power_bounds(terms, arity, degree, k, p, cap)[0]
+    return min(log_squaring, log_division), terms > 1 and log_squaring > log_division, log_terms
 
 
 def log_power_bounds(terms: int, arity: int, degree: int, k: int, p: int, cap: float) -> tuple[float, float]:
     """The log of the estimated term products ``packed_power`` spends on
     f^k, for a nonzero f as in ``log_power_terms``, and the log of its
-    bound on the terms of f^k when k has two nonzero base-p digits or
-    more.  Either is a value above ``cap`` once it exceeds ``cap``; once
-    the products do, the higher digits are not read, and the term bound
-    covers only the lower ones.  From f's shape alone, so a caller can
-    refuse f^k before f is written out.  Each nonzero digit d of k costs
-    f^d by its route: ``_p_minus_1_route`` for d = p-1, else
-    square-and-multiply.  Multiplying f^d, moved to its place with as
-    many terms, into the powers of the lower digits costs the product of
-    their ``log_power_terms`` bounds, and the terms of f^k are bounded by
-    the product of every digit's bound.  For one nonzero digit there is
-    no product, and the term bound is -inf: f^k is f^d moved, which is f
-    for d = 1, and otherwise costs its route a term product at least for
-    each of its terms, so the products bound its terms too.
+    bound on the terms of f^k.  Either is a value above ``cap`` once it
+    exceeds ``cap``, or ``_ROUTE_CAP`` if that is lower; once the products
+    do, the higher digits are not read, and the term bound covers only the
+    lower ones.  From f's shape alone, so a caller can refuse f^k before f
+    is written out.  Each nonzero digit d of k costs f^d by its route:
+    ``_p_minus_1_route`` for d = p-1, else square-and-multiply.
+    Multiplying f^d, moved to its place with as many terms, into the
+    powers of the lower digits costs the product of their
+    ``log_power_terms`` bounds, and the terms of f^k are bounded by the
+    product of every digit's bound.
     """
     # size: the log bound on the terms of the product so far, -inf (no
     # product to multiply into) before the first digit.
@@ -931,20 +947,35 @@ def log_power_bounds(terms: int, arity: int, degree: int, k: int, p: int, cap: f
     while k and total <= cap:
         k, d = divmod(k, p)
         if d == p - 1:
-            total = _log_add(total, _p_minus_1_route(terms, arity, degree, p)[0])
+            cost, _, terms_d = _p_minus_1_route(terms, arity, degree, p)
         elif d:
-            total = _log_add(total, _log_square_and_multiply(terms, arity, degree, d, cap))
-        if d and (k or size > -inf):  # a product with another digit's power
+            cost = _log_square_and_multiply(terms, arity, degree, d, cap)
             terms_d = log_power_terms(terms, arity, degree, d, cap)
-            total = _log_add(total, size + terms_d)
-            size = terms_d if size == -inf else size + terms_d
+        else:
+            continue
+        # f^d is multiplied into the lower digits' power, if there is one
+        # (size > -inf).
+        total = _log_add(_log_add(total, cost), size + terms_d)
+        size = max(size, 0.0) + terms_d
     return total, size
+
+
+def power_too_large(terms: int, arity: int, degree: int, k: int, p: int) -> bool:
+    """Is f^k, for a nonzero f as in ``log_power_terms``, too large to
+    build?  True when ``packed_power``'s route is estimated at more than
+    ``MAX_TERM_PRODUCTS`` term products, or its terms are bounded at more
+    than ``MAX_POWER_TERMS`` (``log_power_bounds``).  Every caller that
+    builds a power from input asks this first, with its own message."""
+    cap = log(MAX_TERM_PRODUCTS)
+    products, size = log_power_bounds(terms, arity, degree, k, p, cap)
+    return products > cap or size > log(MAX_POWER_TERMS)
 
 
 def _log_add(a: float, b: float) -> float:
     """log(e^a + e^b), without overflow; -inf stands for 0."""
-    high = max(a, b)
-    return high if high == -inf else high + log1p(exp(-abs(a - b)))
+    if a < b:
+        a, b = b, a
+    return a if b == -inf else a + log1p(exp(b - a))
 
 
 def substitute_zero(f: Polynomial, var: int) -> Polynomial:

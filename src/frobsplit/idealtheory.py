@@ -26,8 +26,9 @@ for each generator g against a basis of I^[p], with no colon built; and
 the finite one, membership in I of every p-th root of c * g against a
 basis of I, which cross-validates it), the existence test for compatible
 splittings on the same p-th-root decomposition, and nilpotency
-witnesses.  Fedder modules that would be too large are refused before
-anything is built (``FEDDER_TERM_BUDGET``).
+witnesses.  A Fedder module is refused before anything is built when
+the product of the generators to the p-1, which it holds, is a power too
+large to build (``fparith.power_too_large``, the parser's gate).
 """
 
 from __future__ import annotations
@@ -53,13 +54,13 @@ from .fparith import (
     fit_bits,
     grevlex_desc_key,
     grevlex_layout,
-    log_power_terms,
     make_divisor,
     packed_call,
     packed_power,
     packed_product,
     packed_roots,
     packing,
+    power_too_large,
 )
 from .splitcore import TwistedEndo
 
@@ -439,7 +440,7 @@ def intersect(A: IdealPresentation, B: IdealPresentation) -> IdealPresentation:
     tag t ordered before every variable.  The generators are packed into
     that order's keys with t as variable 0, so t*a is a's keys plus t's
     weight; the basis elements whose leading monomial is free of t are
-    free of it, and only they are unpacked.
+    free of it, and only they are inter-reduced and unpacked.
     """
     if A.context != B.context:
         raise ContextMismatchError("ideals from different rings")
@@ -455,14 +456,14 @@ def intersect(A: IdealPresentation, B: IdealPresentation) -> IdealPresentation:
             terms = {sum(map(mul, m, weights), base): c for m, c in g.terms.items()}
             gens.append(terms | {key + tag: p - c for key, c in terms.items()})
         minimal, leads = _buchberger_core(gens, p, pk)
-        kept = []
-        for lt, (_, _, _, tail) in zip(leads, _reduce_tails(minimal, p, pk)):
-            if not lt[0]:
-                terms = {lt[1:]: 1}
-                for m, c in tail:
-                    terms[pk.unpack(m)[1:]] = c
-                kept.append(Polynomial._raw(ctx, terms))
-        return kept
+        # Only t-free leads divide a t-free element's terms, so those
+        # elements are inter-reduced among themselves alone.
+        free = [n for n, lt in enumerate(leads) if not lt[0]]
+        reduced = _reduce_tails([minimal[n] for n in free], p, pk)
+        return [
+            Polynomial._raw(ctx, {leads[n][1:]: 1} | {pk.unpack(m)[1:]: c for m, c in tail})
+            for n, (_, _, _, tail) in zip(free, reduced)
+        ]
 
     top = max(degree(g.terms) for g in A.generators + B.generators)
     pk = packing(MonomialOrder.elim(1).layout(ctx.arity + 1), fit_bits(1 + top))
@@ -481,34 +482,22 @@ def colon(J: IdealPresentation, g: Polynomial) -> IdealPresentation:
     return IdealPresentation(J.context, tuple(exact_divide(h, g) for h in inter.generators))
 
 
-FEDDER_TERM_BUDGET = 10**5
-"""Terms allowed, by estimate, in (g_1 * ... * g_r)^(p-1), which lies in
-the Fedder module of (g_1, ..., g_r); only ``fedder_module`` builds that
-module, and so only it is bounded.  It bounds the module's size, not the
-time of the colons that build it: on the 2x2 minors of a generic
-2x3 matrix, ``exists_compatible_splitting`` takes 0.25 s at p = 7, 2.3 s
-at p = 11 and 5.5 s at p = 13, and p = 17 is refused (one core of a
-2-core Intel Xeon, Python 3.11)."""
-
-
 def _check_fedder_budget(I: IdealPresentation) -> None:
-    """Raise ValueError when the product of the generators of I to the p-1
-    may have more than ``FEDDER_TERM_BUDGET`` terms
-    (``fparith.log_power_terms``), as for (xy + x + 1) at p = 1009.
-
-    The bound on the multisets of p-1 of the T product terms,
-    C(T + p - 2, p - 1), is at most T^(p-1), so an input under the budget
-    by that cruder bound passes without the log-binomial sums."""
+    """Raise ValueError when (g_1 * ... * g_r)^(p-1), which lies in the
+    Fedder module of I = (g_1, ..., g_r), is too large to build
+    (``fparith.power_too_large``), as for (xy + x + 1) at p = 1009; at
+    p = 2 that is the product itself.  Only ``fedder_module`` builds the
+    module, and so only it is bounded.  It bounds the module's size, not
+    the time of the colons that build it: on the 2x2 minors of a generic
+    2x3 matrix, ``exists_compatible_splitting`` takes 0.25 s at p = 7,
+    2.3 s at p = 11 and 5.5 s at p = 13, and p = 17 is refused (one core
+    of a 2-core Intel Xeon, Python 3.11)."""
     ctx = I.context
-    cap = log(FEDDER_TERM_BUDGET)
     terms = prod(len(g.terms) for g in I.generators)
-    if (ctx.p - 1) * log(terms) <= cap:
-        return
     total = sum(g.total_degree() for g in I.generators)
-    if log_power_terms(terms, ctx.arity, total, ctx.p - 1, cap) > cap:
+    if power_too_large(terms, ctx.arity, total, ctx.p - 1, ctx.p):
         raise ValueError(
-            f"Fedder module too large: the product of the generators to the p-1"
-            f" may have over {FEDDER_TERM_BUDGET} terms"
+            "Fedder module too large: the product of the generators to the p-1 is over the power budget"
         )
 
 
@@ -522,7 +511,7 @@ def fedder_module(I: IdealPresentation) -> IdealPresentation:
     it, by the inverse of g's grevlex leading coefficient.  The zero
     ideal maps to the zero ideal by convention.  Raises ValueError,
     before anything is built, when the module would be too large
-    (``FEDDER_TERM_BUDGET``).
+    (``_check_fedder_budget``).
     """
     if I.is_zero_ideal():
         return I
@@ -565,7 +554,7 @@ def is_compatible(
     come from separate runs on separate generators, so "both" compares
     two independent computations: it runs the two and raises if they
     disagree.  Neither builds a Fedder module, so
-    ``FEDDER_TERM_BUDGET`` does not apply.
+    ``_check_fedder_budget`` does not apply.
     """
     if sigma.context != I.context:
         raise ContextMismatchError("endomorphism and ideal from different rings")
@@ -680,7 +669,7 @@ def exists_compatible_splitting(I: IdealPresentation) -> ExistsSplitVerdict:
     unit, which changes neither the ideal its roots generate nor its
     reduced basis.  An overflow reruns the whole computation wider.
     Raises ValueError, before anything is built, when the module would
-    be too large (``FEDDER_TERM_BUDGET``).
+    be too large (``_check_fedder_budget``).
     """
     ctx = I.context
     if I.is_zero_ideal():

@@ -6,7 +6,11 @@ iterated residues through all variables end in a nonzero constant, the
 original coefficient's endomorphism spans a splitting; the chain of
 intermediate polynomials is the certificate.  The classic source of such
 chains is a product of nested principal minors of a generic matrix,
-generated here as well.
+generated here as well.  That section is refused, before any minor is
+built, when a minor's power is too large to build
+(``fparith.power_too_large``, the gate of every power), and when the
+n! terms of the n x n minor, or the term products of one multiplication,
+exceed ``MATRIX_PRODUCT_BUDGET``.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
-from math import factorial, log
+from math import factorial
 from operator import getitem
 
 from .fparith import (
@@ -26,10 +30,10 @@ from .fparith import (
     RingContext,
     fit_bits,
     grevlex_layout,
-    log_power_cost,
     packed_power,
     packed_product,
     packing,
+    power_too_large,
     ring,
     term_str,
 )
@@ -230,20 +234,21 @@ def matrix_factors(ctx: RingContext, n: int) -> list[Polynomial]:
 
 
 MATRIX_PRODUCT_BUDGET = 3 * 10**6
-"""Term products allowed in one multiplication of the powers of the
-nested minors, and estimated for one minor's f^(p-1): a few seconds.  At
+"""Terms allowed in the n x n minor, n! of them, and term products allowed
+in one multiplication of the powers of the nested minors: a few seconds.
+Each minor's power is bounded apart, by ``fparith.power_too_large``.  At
 p = 2 each power is the minor itself.  Measured in process on 2 cores,
 Python 3.11:
 
 - p = 2: the 5x5 steps take at most 767,136 (the section in 2.9 s); the
   6x6 ones reach 5.8 million by the sixth minor.
-- p = 3: the 4x4 steps take at most 92,442 (0.2 s).  The 5x5 section is
-  refused at once, at 20.5 million for the 5x5 minor's power.
+- p = 3: the 4x4 steps take at most 92,442 (0.2 s); the 5x5 section is
+  refused at a step of 20.5 million.
 - p = 5: the 4x4 section is refused at 22.4 million, after a step of
   2.4 million (1.2 s).
-- The 3x3 section fits up to p = 23 (1.75 million, 3 s).  At p = 29 and
-  31 a multiplication is refused; from p = 37 up, the 3x3 minor's power
-  is estimated over the budget.
+- The 3x3 section fits up to p = 23 (1.75 million, 3 s).  From p = 29
+  up, the 3x3 minor's power is bounded at more than
+  ``fparith.MAX_POWER_TERMS`` terms and refused at once.
 """
 
 
@@ -262,19 +267,17 @@ def matrix_section_coefficient(ctx: RingContext, n: int) -> Polynomial:
     is a shift of one key.  The section is unpacked once.
 
     Raises ValueError before any minor is built when one minor's f^(p-1),
-    from its k! terms of degree k, is estimated at more than
-    ``MATRIX_PRODUCT_BUDGET`` term products (``fparith.log_power_cost``),
-    and, once a minor's power is built, before a multiplication of the
-    product so far by it would take more.
+    from its k! terms of degree k, is too large to build
+    (``fparith.power_too_large``), and, once a minor's power is built,
+    before a multiplication of the product so far by it would take more
+    than ``MATRIX_PRODUCT_BUDGET`` term products.
     """
     p = ctx.p
     blocks = sorted(_nested_blocks(ctx, n), key=lambda block: len(block) > 1)
-    cap = log(MATRIX_PRODUCT_BUDGET)
-    for k in range(1, n + 1):
-        if log_power_cost(factorial(k), ctx.arity, k, p - 1, p, cap) > cap:
+    for k in range(2, n + 1):
+        if p > 2 and power_too_large(factorial(k), ctx.arity, k, p - 1, p):
             raise ValueError(
-                f"matrix too large: raising its {k}x{k} minor to the p-1 takes over"
-                f" {MATRIX_PRODUCT_BUDGET} estimated term products"
+                f"matrix too large: raising its {k}x{k} minor to the p-1 is over the power budget"
             )
     pk = packing(grevlex_layout(ctx.arity), fit_bits((p - 1) * n * n))
     packed = {pk.base: 1}

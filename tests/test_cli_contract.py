@@ -231,6 +231,13 @@ def test_flags_a_subcommand_does_not_read_are_rejected(command, flag, capsys):
         (["split-check", "-p", "2", "--vars", "x,y", "(x+y+1)^(p^15-1)"], "power too large"),
         # 6.9 million term products, under their budget, for 4,762,800 terms.
         (["split-check", "-p", "7", "--vars", "x,y", "(x+y+1)^(2^20)"], "power too large"),
+        # One digit, bounded at 509,545 and 2,007,006 terms: 1.0 s and 4.9 s
+        # to build.
+        (["split-check", "-p", "1009", "--vars", "x,y", "(x+y+1)^(p-1)"], "power too large"),
+        (["split-check", "-p", "2003", "--vars", "x,y", "(x+y+1)^(p-1)"], "power too large"),
+        # The 3x3 minor to the 28th is bounded at 237,336 terms; the section
+        # was refused at a multiplication after 2.1 s.
+        (["matrix-demo", "--size", "3", "-p", "29"], "matrix too large"),
     ],
 )
 def test_oversized_or_negative_input_is_a_quick_usage_error(argv, message, capsys):

@@ -9,9 +9,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from frobsplit import ParseError, Polynomial, parse_expr, ring
-from frobsplit.expr import MAX_NESTING, MAX_POWER_TERMS, MAX_TERM_PRODUCTS, _tokenize
+from frobsplit.expr import MAX_NESTING, _tokenize
 from frobsplit import fparith
-from frobsplit.fparith import _is_variable_name
+from frobsplit.fparith import MAX_POWER_TERMS, MAX_TERM_PRODUCTS, _is_variable_name
 from _util import rand_poly
 
 

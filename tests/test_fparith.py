@@ -25,7 +25,7 @@ from frobsplit import (
     substitute_zero,
 )
 from frobsplit.expr import parse_expr
-from frobsplit.fparith import log_power_cost
+from frobsplit.fparith import log_power_bounds
 from _util import contexts, grevlex_key, monomial_divides, polys, rand_poly, schoolbook_mul
 
 
@@ -269,7 +269,7 @@ def test_log_power_products_counts_pow_multiplications(k):
     for p in (1009, 11, 3, 2):
         digits = [d for d in _digits(k, p) if d]
         expected = sum(map(multiplications, digits)) + max(len(digits) - 1, 0)
-        assert math.exp(log_power_cost(1, 1, 1, k, p, math.inf)) == pytest.approx(expected)
+        assert math.exp(log_power_bounds(1, 1, 1, k, p, math.inf)[0]) == pytest.approx(expected)
 
 
 @settings(max_examples=100, deadline=None)
@@ -501,8 +501,43 @@ def test_pow_p_minus_1_raises_one_term_f_without_an_estimate(monkeypatch):
 def test_p_minus_1_cost_is_never_above_the_squaring_estimate(terms, arity, degree, p):
     # The parser budgets a (p-1)-st power by this cost, where it used the
     # squaring estimate: no power it accepted is refused now.
-    cost = log_power_cost(terms, arity, degree, p - 1, p, math.inf)
+    cost = log_power_bounds(terms, arity, degree, p - 1, p, math.inf)[0]
     assert cost <= fparith._log_square_and_multiply(terms, arity, degree, p - 1, math.inf) + 1e-9
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_power_term_bound_is_never_below_the_terms(data):
+    # Every refusal of a power rests on this bound, for an exponent of one
+    # base-p digit and of several.
+    ctx = data.draw(contexts)
+    f = data.draw(polys(ctx, max_exp=2, max_terms=4, nonzero=True))
+    p = ctx.p
+    k = data.draw(st.integers(1, max(p * p - 1, 26)))
+    _, size = log_power_bounds(len(f.terms), ctx.arity, f.total_degree(), k, p, math.inf)
+    assert size >= math.log(len((f**k).terms)) - 1e-9
+
+
+def test_one_power_terms_budget_gates_the_parser_the_fedder_module_and_the_minors(monkeypatch):
+    # (x+y+1)^6 at p = 7, ((x*y+1)*(x+y))^4 in the Fedder module at p = 5
+    # and the 3x3 minor to the 4th are bounded at 28, 35 and 126 terms: all
+    # three are built under the default budget, and refused below 28.
+    from frobsplit import IdealPresentation, fedder_module, rescert
+
+    ctx5 = ring(5, "x y")
+    calls = {
+        "power too large": lambda: parse_expr("(x+y+1)^(p-1)", ring(7, "x y")),
+        "Fedder module too large": lambda: fedder_module(
+            IdealPresentation(ctx5, (parse_expr("x*y+1", ctx5), parse_expr("x+y", ctx5)))
+        ),
+        "matrix too large": lambda: rescert.matrix_section_coefficient(rescert.matrix_context(3, 5), 3),
+    }
+    for call in calls.values():
+        call()
+    monkeypatch.setattr(fparith, "MAX_POWER_TERMS", 27)
+    for message, call in calls.items():
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def _by_digits(f, k):

@@ -532,6 +532,40 @@ def test_large_prime_fedder_module_is_refused_before_it_is_built(p, monkeypatch)
     assert time.perf_counter() - start < 1.0
 
 
+def test_fedder_module_at_p_2_is_refused_by_the_product_itself(monkeypatch):
+    # At p = 2 the product of the generators to the p-1 is the product: of
+    # three 50-term quartics in 10 variables it is bounded at 125,000
+    # terms, over ``fparith.MAX_POWER_TERMS``.
+    import frobsplit.idealtheory as idealtheory
+
+    def built(*args):
+        raise AssertionError("built before the budget check")
+
+    monkeypatch.setattr(idealtheory, "frobenius_power_ideal", built)
+    ctx = ring(2, [f"x{i}" for i in range(10)])
+    quartics = [tuple(map(c.count, range(10))) for c in itertools.combinations_with_replacement(range(10), 4)]
+    I = IdealPresentation(ctx, [Polynomial(ctx, dict.fromkeys(quartics[i::3][:50], 1)) for i in range(3)])
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="Fedder module too large"):
+        fedder_module(I)
+    with pytest.raises(ValueError, match="Fedder module too large"):
+        exists_compatible_splitting(I)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_fedder_budget_is_quick_for_a_long_product_at_a_huge_prime():
+    # Four 100-term generators bound their product at 10^8 terms.  Left
+    # uncapped, the estimate of its (p-1)-st power would sum about
+    # min(10^8, p) logarithms, 36 s.
+    ctx = ring(2305843009213693951, "x y z w")
+    monomials = [m for m in itertools.product(range(6), repeat=4) if sum(m) <= 5]
+    I = IdealPresentation(ctx, [Polynomial(ctx, dict.fromkeys(monomials[i : i + 100], 1)) for i in range(4)])
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="Fedder module too large"):
+        exists_compatible_splitting(I)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_fedder_budget_admits_moderate_primes():
     ctx = ring(101, "x y")
     assert exists_compatible_splitting(_ideal(ctx, "x*y+x+1")).exists

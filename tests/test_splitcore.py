@@ -27,6 +27,7 @@ from frobsplit import (
     VerdictKind,
     certify_chain,
     check_splitting,
+    fparith,
     frobenius_roots,
     frobenius_trace,
     homogeneous_fastpath,
@@ -414,16 +415,19 @@ def test_matrix_product_budget_covers_the_section_power(monkeypatch):
 
 def test_matrix_minor_power_budget_is_the_estimate(monkeypatch):
     # The 4th power of the 6-term 3x3 minor is estimated at 477 term
-    # products.  Above that, the refusal comes from a multiplication;
-    # below it, from the estimate, before any minor is built.
+    # products and bounded at 126 terms (``fparith.power_too_large``).  Just
+    # above both the section is built; just below either, it is refused
+    # before any minor is built.
     ctx = matrix_context(3, 5)
-    monkeypatch.setattr(rescert, "MATRIX_PRODUCT_BUDGET", 478)
-    with pytest.raises(ValueError, match="powers of its nested minors takes 600 term products"):
-        matrix_section_coefficient(ctx, 3)
-    monkeypatch.setattr(rescert, "MATRIX_PRODUCT_BUDGET", 476)
-    monkeypatch.setattr(rescert, "minor", lambda *args: pytest.fail("a minor was built"))
-    with pytest.raises(ValueError, match="raising its 3x3 minor to the p-1 takes over 476"):
-        matrix_section_coefficient(ctx, 3)
+    monkeypatch.setattr(fparith, "MAX_TERM_PRODUCTS", 478)
+    monkeypatch.setattr(fparith, "MAX_POWER_TERMS", 127)
+    assert not matrix_section_coefficient(ctx, 3).is_zero()
+    monkeypatch.setattr(rescert, "_packed_minor", lambda *args: pytest.fail("a minor was built"))
+    for name, budget in [("MAX_TERM_PRODUCTS", 476), ("MAX_POWER_TERMS", 125)]:
+        with monkeypatch.context() as patch:
+            patch.setattr(fparith, name, budget)
+            with pytest.raises(ValueError, match="raising its 3x3 minor to the p-1 is over the power budget"):
+                matrix_section_coefficient(ctx, 3)
 
 
 def test_matrix_demo_section_power_over_budget_is_refused():
