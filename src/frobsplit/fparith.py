@@ -966,9 +966,12 @@ def power_too_large(terms: int, arity: int, degree: int, k: int, p: int) -> bool
     ``MAX_TERM_PRODUCTS`` term products, or its terms are bounded at more
     than ``MAX_POWER_TERMS`` (``log_power_bounds``).  Every caller that
     builds a power from input asks this first, with its own message."""
-    cap = log(MAX_TERM_PRODUCTS)
+    cap, top = log(MAX_TERM_PRODUCTS), log(MAX_POWER_TERMS)
+    # f^(p-1) has at most T^(p-1) terms; its route, division at most, T^p products.
+    if k == p - 1 and p * log(terms) <= cap and k * log(terms) <= top:
+        return False
     products, size = log_power_bounds(terms, arity, degree, k, p, cap)
-    return products > cap or size > log(MAX_POWER_TERMS)
+    return products > cap or size > top
 
 
 def _log_add(a: float, b: float) -> float:

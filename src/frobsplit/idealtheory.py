@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial, reduce
 from heapq import heappop, heappush
-from math import log, prod
+from math import prod
 from operator import mul
 
 from .fparith import (
@@ -482,20 +482,18 @@ def colon(J: IdealPresentation, g: Polynomial) -> IdealPresentation:
     return IdealPresentation(J.context, tuple(exact_divide(h, g) for h in inter.generators))
 
 
-def _check_fedder_budget(I: IdealPresentation) -> None:
+def _check_fedder_budget(I: IdealPresentation, total: int) -> None:
     """Raise ValueError when (g_1 * ... * g_r)^(p-1), which lies in the
-    Fedder module of I = (g_1, ..., g_r), is too large to build
-    (``fparith.power_too_large``), as for (xy + x + 1) at p = 1009; at
-    p = 2 that is the product itself.  Only ``fedder_module`` builds the
-    module, and so only it is bounded.  It bounds the module's size, not
-    the time of the colons that build it: on the 2x2 minors of a generic
-    2x3 matrix, ``exists_compatible_splitting`` takes 0.25 s at p = 7,
-    2.3 s at p = 11 and 5.5 s at p = 13, and p = 17 is refused (one core
-    of a 2-core Intel Xeon, Python 3.11)."""
+    Fedder module of I = (g_1, ..., g_r), whose degrees sum to ``total``,
+    is too large to build (``fparith.power_too_large``), as for
+    (xy + x + 1) at p = 1009; at p = 2 that is the product itself.  Only
+    ``fedder_module`` builds the module, and so only it is bounded.  It
+    bounds the module's size, not the time of the colons that build it:
+    on the 2x2 minors of a generic 2x3 matrix, ``exists_compatible_splitting``
+    takes 0.25 s at p = 7, 2.3 s at p = 11 and 5.5 s at p = 13, and p = 17
+    is refused (one core of a 2-core Intel Xeon, Python 3.11)."""
     ctx = I.context
-    terms = prod(len(g.terms) for g in I.generators)
-    total = sum(g.total_degree() for g in I.generators)
-    if power_too_large(terms, ctx.arity, total, ctx.p - 1, ctx.p):
+    if power_too_large(prod(len(g.terms) for g in I.generators), ctx.arity, total, ctx.p - 1, ctx.p):
         raise ValueError(
             "Fedder module too large: the product of the generators to the p-1 is over the power budget"
         )
@@ -515,7 +513,7 @@ def fedder_module(I: IdealPresentation) -> IdealPresentation:
     """
     if I.is_zero_ideal():
         return I
-    _check_fedder_budget(I)
+    _check_fedder_budget(I, sum(degree(g.terms) for g in I.generators))
     ctx = I.context
     if len(I.generators) == 1:
         (g,) = I.generators
@@ -677,9 +675,9 @@ def exists_compatible_splitting(I: IdealPresentation) -> ExistsSplitVerdict:
         return ExistsSplitVerdict(True, buchberger(IdealPresentation(ctx, (ctx.one(),))))
     p = ctx.p
     if len(I.generators) == 1:
-        _check_fedder_budget(I)
         (g,) = I.generators
         top = degree(g.terms)
+        _check_fedder_budget(I, top)
 
         def module(pk: Packing) -> list[dict[int, int]]:
             return [packed_power(pk.pack_terms(g.terms), p - 1, top, pk, p)]

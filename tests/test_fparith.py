@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -538,6 +539,25 @@ def test_one_power_terms_budget_gates_the_parser_the_fedder_module_and_the_minor
     for message, call in calls.items():
         with pytest.raises(ValueError, match=message):
             call()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    terms=st.integers(1, 60),
+    arity=st.integers(1, 12),
+    degree=st.integers(0, 12),
+    p=st.sampled_from([2, 3, 5, 7, 11, 13]),
+    products=st.integers(1, 10**7),
+    power_terms=st.integers(1, 10**5),
+)
+def test_p_minus_1_gate_agrees_with_the_estimate(terms, arity, degree, p, products, power_terms):
+    # The gate passes f^(p-1) of few terms by T^p and T^(p-1) alone: under
+    # any budgets, it must answer as the estimate does.
+    cap = math.log(products)
+    cost, size = log_power_bounds(terms, arity, degree, p - 1, p, cap)
+    with mock.patch.multiple(fparith, MAX_TERM_PRODUCTS=products, MAX_POWER_TERMS=power_terms):
+        refused = fparith.power_too_large(terms, arity, degree, p - 1, p)
+    assert refused == (cost > cap or size > math.log(power_terms))
 
 
 def _by_digits(f, k):
