@@ -354,7 +354,11 @@ _NEGATIVE_NUMBERS = re.compile(r"^-\d[\d,]*$")
 @lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: it is the same for
-    every argv, and parsing leaves it unchanged."""
+    every argv, and parsing leaves it unchanged.  Its ``commands`` maps
+    each subcommand to that subcommand's own parser (the subparsers
+    action's ``choices``), so that ``main`` parses a subcommand's
+    arguments once, with that parser alone; the top-level parser parses
+    only an argv that names no subcommand."""
     # Shared flags and -h come through parent parsers, each extending the one
     # before: copying an action is cheaper than add_argument.
     fmt = argparse.ArgumentParser()
@@ -375,6 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
         for argument in arguments.split():
             cmd.add_argument(argument, **_ARGUMENTS[argument])
         cmd.set_defaults(kind=kind)
+    parser.commands = sub.choices
     return parser
 
 
@@ -403,7 +408,20 @@ def _matrix_demo(n: int, p: int) -> Report:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run the subcommand that argv (``sys.argv[1:]`` when None) names,
+    and return its exit code.  argv is parsed once.  When argv[0] names a
+    command, the rest goes straight to that command's own parser, as the
+    subparsers action would hand it on, and arguments left over are an
+    error of the top-level parser, as there.  Any other argv (none, -h,
+    an unknown command, a leading --) goes to the top-level parser."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
+    if argv and argv[0] in COMMANDS:
+        args, rest = parser.commands[argv[0]].parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if rest:
+            parser.error(f"unrecognized arguments: {' '.join(rest)}")
+    else:
+        args = parser.parse_args(argv)
     as_json = args.format == "json"
     try:
         if args.command == "corpus":

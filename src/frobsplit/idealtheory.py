@@ -703,16 +703,31 @@ def nilpotent_witness(g: Polynomial, I: IdealPresentation, bound: int) -> int | 
     """Smallest k <= bound with g not in I but g^k in I, if any.
 
     Such a k shows I is not radical, which rules out any compatible
-    splitting.
+    splitting.  All on grevlex packed keys in one ``packed_call``: a basis
+    of I by ``_packed_basis`` (membership needs no inter-reduction), g
+    packed once, each power one ``packed_product`` by g, and membership
+    an empty remainder of ``divide_terms``.  ``packed_product`` checks no
+    guard bits, so the width holds every field of g^bound, as well as the
+    generators'; an overflow elsewhere reruns the whole check wider.
     """
     if bound < 2:
         raise ValueError("bound must be at least 2")
-    G = buchberger(I)
-    if G.contains(g):
+    if g.context != I.context:
+        raise ContextMismatchError("polynomial and basis from different rings")
+    if g.is_zero() or I.is_zero_ideal():
         return None
-    power = g
-    for k in range(2, bound + 1):
-        power = power * g
-        if G.contains(power):
-            return k
-    return None
+    p = g.context.p
+
+    def run(pk: Packing) -> int | None:
+        divisors = _packed_basis([pk.pack_terms(h.terms) for h in I.generators], p, pk)
+        power = packed_g = pk.pack_terms(g.terms)
+        if not divide_terms(power, divisors, p, pk):
+            return None
+        for k in range(2, bound + 1):
+            power = packed_product(power, packed_g, pk.base, p)
+            if not divide_terms(power, divisors, p, pk):
+                return k
+        return None
+
+    bits = fit_bits(max(bound * degree(g.terms), *(degree(h.terms) for h in I.generators)))
+    return packed_call(packing(GREVLEX.layout(g.context.arity), bits), run)

@@ -90,6 +90,23 @@ def tagged_intersect(A: IdealPresentation, B: IdealPresentation) -> IdealPresent
     return IdealPresentation(ctx, [Polynomial(ctx, {m[1:]: c for m, c in g.terms.items()}) for g in kept])
 
 
+def nilpotent_reference(g: Polynomial, I: IdealPresentation, bound: int) -> int | None:
+    """Reference ``nilpotent_witness`` on public API only: the reduced
+    basis of I by ``buchberger``, and ``GroebnerBasis.contains`` of g and
+    then of each power g^k, k <= bound, built by multiplying by g."""
+    if bound < 2:
+        raise ValueError("bound must be at least 2")
+    G = buchberger(I)
+    if G.contains(g):
+        return None
+    power = g
+    for k in range(2, bound + 1):
+        power = power * g
+        if G.contains(power):
+            return k
+    return None
+
+
 def monomial_divides(a: tuple, b: tuple) -> bool:
     """True when x^a divides x^b: every exponent of a is at most b's."""
     return all(ea <= eb for ea, eb in zip(a, b))

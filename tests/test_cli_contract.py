@@ -9,12 +9,14 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import frobsplit
+from frobsplit import cli
 from frobsplit.cli import build_parser, main
 
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "cli.json").read_text(encoding="utf-8"))
@@ -363,3 +365,65 @@ def test_every_argv_keeps_the_exit_code_contract(argv, extra):
         usage = lines and lines[0].startswith("usage: frobsplit") and ": error: " in lines[-1]
         assert usage or (len(lines) == 1 and lines[0].startswith("error: ")), err
         assert elapsed < 2.0
+
+
+# -- argv is parsed once -------------------------------------------------------
+
+
+def _outcome(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return out.getvalue(), err.getvalue(), code
+
+
+def _echo_check(case, check):
+    """In place of a check's computation, the inputs parsed for it."""
+    return cli.CheckResult(check["kind"], repr((case.prime, case.variables, case.sigma, check)))
+
+
+def _echo_matrix_demo(n, p):
+    return cli.Report(f"matrix-demo-{n}", p, [cli.CheckResult("size", n)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    prefix=st.sampled_from(8 * [[]] + [["--"], ["-h"]]),
+    argv=ARGVS,
+    extra=st.sampled_from(6 * [[]] + [["--bogus"], ["-p"], ["-h"], ["--"], ["--", "x"]]),
+)
+def test_a_subcommand_parsed_alone_answers_as_the_top_level_parser_does(prefix, argv, extra):
+    # With COMMANDS empty, main hands every argv to the top-level parser,
+    # whose subparsers action parses a subcommand's arguments a second time.
+    # The checks only echo what was parsed for them: some draws of ARGVS
+    # start Buchberger runs with no work bound, and this property is about
+    # parsing.
+    argv = prefix + argv + extra
+    build_parser()  # built, with every subcommand, before COMMANDS is emptied
+    with mock.patch.multiple(cli, _run_check=_echo_check, _matrix_demo=_echo_matrix_demo):
+        dispatched = _outcome(argv)
+        with mock.patch.object(cli, "COMMANDS", {}):
+            assert _outcome(argv) == dispatched
+
+
+def test_a_subcommand_call_never_reaches_the_top_level_parser(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the top-level parser parsed a subcommand's arguments")
+
+    monkeypatch.setattr(build_parser(), "parse_known_args", refuse)
+    for record in GOLDEN:
+        assert _run(record["argv"], capsys) == (record["stdout"], record["stderr"], record["exit"])
+    out, err, code = _run(["semigroup", "--gens", "2,3", "--bogus"], capsys)
+    assert (out, code) == ("", 2)
+    assert err.startswith("usage: frobsplit [-h]")
+    assert err.endswith("frobsplit: error: unrecognized arguments: --bogus\n")
+
+
+@pytest.mark.parametrize("argv", [["semigroup", "-p", "3", "--gens", "2,3"], [], ["no-such-command"]])
+def test_main_without_argv_reads_sys_argv(argv, monkeypatch, capsys):
+    expected = _run(argv, capsys)
+    monkeypatch.setattr(sys, "argv", ["frobsplit", *argv])
+    assert _run(None, capsys) == expected

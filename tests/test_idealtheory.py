@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from frobsplit import (
+    ContextMismatchError,
     GroebnerBasis,
     IdealPresentation,
     MonomialOrder,
@@ -38,6 +39,7 @@ from _util import (
     ideals,
     leading,
     monomial_divides,
+    nilpotent_reference,
     order_key,
     polys,
     rand_poly,
@@ -379,6 +381,33 @@ def test_nilpotent_witness_char2_square():
 def test_nilpotent_witness_radical_none():
     ctx = ring(2, "x y")
     assert nilpotent_witness(parse_expr("x", ctx), _ideal(ctx, "y"), 6) is None
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_nilpotent_witness_matches_the_basis_reference(data):
+    # A multiple of a power of g among the generators makes a witness
+    # likely; g = 0 and the zero ideal are drawn too.
+    ctx = data.draw(contexts)
+    g = data.draw(polys(ctx, max_exp=2, max_terms=3))
+    gens = data.draw(st.lists(polys(ctx, max_exp=2, max_terms=3), max_size=2))
+    multiple = g ** data.draw(st.integers(1, 4)) * data.draw(polys(ctx, max_exp=1, max_terms=2))
+    I = IdealPresentation(ctx, gens + [multiple])
+    bound = data.draw(st.integers(2, 5))
+    assert nilpotent_witness(g, I, bound) == nilpotent_reference(g, I, bound)
+
+
+@pytest.mark.parametrize("generators", [(), ("x*y",), ("1",)])
+@pytest.mark.parametrize("element", ["0", "x"])
+def test_nilpotent_witness_refuses_an_element_of_another_ring(element, generators):
+    ctx = ring(3, "x y")
+    I, g = _ideal(ctx, *generators), parse_expr(element, ring(5, "x y"))
+    errors = []
+    for witness in (nilpotent_witness, nilpotent_reference):
+        with pytest.raises(ContextMismatchError) as info:
+            witness(g, I, 4)
+        errors.append(str(info.value))
+    assert errors[0] == errors[1]
 
 
 @pytest.mark.parametrize("p", [2, 3])
