@@ -414,7 +414,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     subparsers action would hand it on, and arguments left over are an
     error of the top-level parser, as there.  Any other argv (none, -h,
     an unknown command, a leading --) goes to the top-level parser."""
-    argv = sys.argv[1:] if argv is None else list(argv)
+    argv = sys.argv[1:] if argv is None else argv
     parser = build_parser()
     if argv and argv[0] in COMMANDS:
         args, rest = parser.commands[argv[0]].parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
