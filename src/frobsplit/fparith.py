@@ -45,7 +45,7 @@ from heapq import heapify, heappop, heappush, nsmallest
 from math import exp, inf, log, log1p
 from operator import add, itemgetter, mul
 from struct import Struct
-from typing import Callable, Mapping, Sequence, TypeVar
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 Monomial = tuple[int, ...]
 """Exponent vector; entry i is the exponent of the context's i-th variable."""
@@ -526,7 +526,10 @@ class Packing:
     time.
     """
 
-    __slots__ = ("layout", "bits", "mask", "weights", "base", "guards", "shifts", "_nbytes", "_struct", "_pick")
+    __slots__ = (
+        "layout", "bits", "mask", "weights", "base", "guards", "shifts",
+        "_nbytes", "_struct", "_pick", "_fields", "_carries",
+    )
 
     def __init__(self, layout: Layout, bits: int):
         width = bits + 1
@@ -550,6 +553,9 @@ class Packing:
         self.base = base
         self.guards = guards
         self.shifts = tuple(shifts)
+        # Each variable's own field filled with ones, and its guard bit.
+        self._fields = sum(mask << pos for pos in shifts)
+        self._carries = sum(1 << (pos + bits) for pos in shifts)
         self._nbytes = len(layout) * width // 8
         self._struct = self._pick = None
         code = {8: "B", 16: "H", 32: "I", 64: "Q"}.get(width)
@@ -578,6 +584,20 @@ class Packing:
             return tuple([(pos >> s) & mask for s in self.shifts])
         m = self._struct.unpack((key ^ self.base).to_bytes(self._nbytes, "little"))
         return m if self._pick is None else self._pick(m)
+
+    def coprime(self, keys: Iterable[int]) -> bool:
+        """Are the monomials of ``keys`` pairwise coprime?  Each one's
+        support, a bit for each variable's field of the positive form that
+        is nonzero (adding D to it carries into its guard bit exactly
+        then), must share no bit with the supports before it."""
+        fields, carries, base = self._fields, self._carries, self.base
+        seen = 0
+        for key in keys:
+            support = (((key ^ base) & fields) + fields) & carries
+            if seen & support:
+                return False
+            seen |= support
+        return True
 
     def pack_terms(self, terms: Mapping[Monomial, int]) -> dict[int, int]:
         weights, base = self.weights, self.base
@@ -753,10 +773,15 @@ def divide_terms(
     p: int,
     pk: Packing,
     quotient: dict[int, int] | None = None,
+    membership: bool = False,
 ) -> dict[int, int]:
     """Multivariate division on packed keys; returns the fully reduced
     remainder.  The divisors need not be inter-reduced: by any Groebner
     basis of an ideal, the remainder is empty exactly for its members.
+    With ``membership``, it returns at the first term that no divisor's
+    leading monomial divides, as a one-term remainder: that term stays in
+    the full remainder, so this one is empty exactly when that is, which
+    is all a membership test reads.
 
     By no divisors, the remainder is the terms, sorted.  Otherwise the
     leading term is always reduced by the first divisor whose leading
@@ -803,6 +828,8 @@ def divide_terms(
                         work[t] = (old + neg * gc) % p
                 break
         else:
+            if membership:
+                return {lead: c}
             remainder[lead] = c
     return remainder
 

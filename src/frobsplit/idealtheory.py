@@ -20,13 +20,17 @@ it sit the Frobenius bracket power I^[p], colon ideals by tag-variable
 elimination, the colon module (I^[p] : I) whose elements are exactly the
 coefficients of twisted endomorphisms compatible with I (Fedder's
 criterion; (g^[p] : g) is (g^(p-1)) for I = (g)), the compatibility
-check in two independent forms, each on packed keys with a minimal basis
-of its own, never inter-reduced (Fedder's, membership of c * g in I^[p]
-for each generator g against a basis of I^[p], with no colon built; and
-the finite one, membership in I of every p-th root of c * g against a
-basis of I, which cross-validates it), the existence test for compatible
+check in two independent forms, each on packed keys with a basis of its
+own, never inter-reduced (Fedder's, membership of c * g in I^[p] for
+each generator g against a basis of I^[p], with no colon built; and the
+finite one, membership in I of every p-th root of c * g against a basis
+of I, which cross-validates it), the existence test for compatible
 splittings on the same p-th-root decomposition, and nilpotency
-witnesses.  A Fedder module is refused before anything is built when
+witnesses.  A basis that only decides membership (``_packed_basis``) is
+the generators themselves when their leading monomials are pairwise
+coprime (Buchberger's first criterion), else the minimal basis of their
+own run, and each membership division stops at the first term of its
+remainder.  A Fedder module is refused before anything is built when
 the product of the generators to the p-1, which it holds, is a power too
 large to build (``fparith.power_too_large``, the parser's gate).
 """
@@ -184,7 +188,7 @@ class GroebnerBasis:
             raise ContextMismatchError("polynomial and basis from different rings")
         if f.is_zero():
             return True
-        return bool(self.basis) and not _packed_remainder(f, self)[1]
+        return bool(self.basis) and not _packed_remainder(f, self, membership=True)[1]
 
     def is_unit_ideal(self) -> bool:
         return any(g.is_constant() and not g.is_zero() for g in self.basis)
@@ -413,16 +417,18 @@ def normal_form(f: Polynomial, G: GroebnerBasis) -> Polynomial:
     return Polynomial._raw(f.context, pk.unpack_terms(remainder))
 
 
-def _packed_remainder(f: Polynomial, G: GroebnerBasis) -> tuple[Packing, dict[int, int]]:
+def _packed_remainder(f: Polynomial, G: GroebnerBasis, membership: bool = False) -> tuple[Packing, dict[int, int]]:
     """The remainder of a nonzero f modulo a nonempty basis, packed, and
     its packing: the basis's own, unless f's degree or an overflow needs
-    one wider."""
+    one wider.  With ``membership``, the remainder is cut at its first
+    term (``divide_terms``), which decides only whether f is in the
+    ideal."""
     p = f.context.p
     start, divisors = G.packed
 
     def run(pk: Packing) -> tuple[Packing, dict[int, int]]:
         basis = divisors if pk is start else _pack(G.basis, pk, p)
-        return pk, divide_terms(pk.pack_terms(f.terms), basis, p, pk)
+        return pk, divide_terms(pk.pack_terms(f.terms), basis, p, pk, membership=membership)
 
     bits = fit_bits(degree(f.terms))
     return packed_call(start if start.bits >= bits else packing(start.layout, bits), run)
@@ -532,8 +538,9 @@ def is_compatible(
     method "fedder" is Fedder's criterion in its plain form: the
     coefficient c lies in (I^[p] : I) iff c * g lies in I^[p] for every
     generator g.  It is membership of c * g in I^[p], one basis of I^[p]
-    by its own Buchberger run (a single g^p is its own basis) and one
-    division per generator, stopping at the first that leaves a
+    (the g^p themselves when their leading monomials are pairwise
+    coprime, a single g^p among them, else by its own Buchberger run) and
+    one division per generator, stopping at the first that leaves a
     remainder; no colon is built.  All of it runs on packed keys at one
     width, with no polynomial built in between: g^p and c * g are formed
     on keys, and the whole check reruns wider if a field overflows.
@@ -542,16 +549,18 @@ def is_compatible(
     This is complete: sigma(I) lies in I iff every trace(x^a * coeff * g)
     with a in [0, p-1]^n does, since every polynomial is a combination
     sum_a r_a^p x^a, and that trace is h_{(p-1)-a}.  It runs on packed
-    keys at one width too: one basis of I by its own Buchberger run (a
-    single g is its own basis), coeff * g formed and split into its roots
-    on keys (``fparith.packed_roots``), with nothing unpacked, and one
-    division per root, stopping at the first that leaves a remainder; the
-    whole check reruns wider if a field overflows.  Each basis is the
-    minimal one its run ends with, not inter-reduced, as it only decides
-    membership (``_packed_basis``).  The two bases, of I^[p] and of I,
-    come from separate runs on separate generators, so "both" compares
-    two independent computations: it runs the two and raises if they
-    disagree.  Neither builds a Fedder module, so
+    keys at one width too: one basis of I (the g themselves when their
+    leading monomials are pairwise coprime, else by its own Buchberger
+    run), coeff * g formed and split into its roots on keys
+    (``fparith.packed_roots``), with nothing unpacked, and one division
+    per root, stopping at the first that leaves a remainder; the whole
+    check reruns wider if a field overflows.  Each basis only decides
+    membership (``_packed_basis``): a run's is the minimal one it ends
+    with, not inter-reduced, and each division stops at the first term
+    of its remainder.  The two bases, of I^[p] and of I, come from
+    separate generators, and from separate runs where they need one, so
+    "both" compares two independent computations: it runs the two and
+    raises if they disagree.  Neither builds a Fedder module, so
     ``_check_fedder_budget`` does not apply.
     """
     if sigma.context != I.context:
@@ -576,14 +585,20 @@ def is_compatible(
 
 def _packed_basis(gens: list[dict[int, int]], p: int, pk: Packing) -> list[Divisor]:
     """A Groebner basis of the ideal of nonzero packed generators, as
-    divisors for ``divide_terms``: one generator is its own, more go
-    through ``_buchberger_core``, whose minimal basis is taken as it is.
-    It only decides membership, by an empty remainder, which any Groebner
-    basis does; inter-reducing it would cost divisions and change no
-    verdict."""
+    divisors for ``divide_terms``.  Generators whose leading monomials
+    are pairwise coprime (``Packing.coprime``) are one already, by
+    Buchberger's first criterion (each S-polynomial reduces to zero), and
+    are taken with no run; one generator is, with no test.  A nonzero
+    constant's lead is coprime to every other, and by it every remainder
+    is empty, as for the unit ideal.  Any other set goes through
+    ``_buchberger_core``, whose minimal basis is taken as it is.  It only
+    decides membership, by an empty remainder, which any Groebner basis
+    does; inter-reducing it would cost divisions and change no verdict."""
     if len(gens) == 1:
         (g,) = gens
         return [make_divisor(g, min(g), p, pk)]
+    if pk.coprime(map(min, gens)):
+        return [make_divisor(g, min(g), p, pk) for g in gens]
     return _buchberger_core(gens, p, pk)[0]
 
 
@@ -591,9 +606,11 @@ def _fedder_member(c: Polynomial, I: IdealPresentation) -> bool:
     """Does c * g lie in I^[p] for every generator g of the nonzero ideal
     I?  All on grevlex packed keys at one width: each g packed once, g^p
     as the key map base + p * (key - base), a basis of I^[p] by
-    ``_packed_basis`` on those, c * g by ``packed_product``, and
-    membership as an empty remainder of ``divide_terms``, stopping at the
-    first generator that fails.  The width holds every field of c * g and
+    ``_packed_basis`` on those (the g^p themselves when their leading
+    monomials, p times those of the g, are pairwise coprime), c * g by
+    ``packed_product``, and membership as an empty remainder of
+    ``divide_terms``, cut at its first term, stopping at the first
+    generator that fails.  The width holds every field of c * g and
     g^p; an overflow elsewhere reruns the whole check wider."""
     if c.is_zero():
         return True
@@ -606,7 +623,9 @@ def _fedder_member(c: Polynomial, I: IdealPresentation) -> bool:
         bracket = [{base + p * (key - base): v for key, v in g.items()} for g in gens]
         divisors = _packed_basis(bracket, p, pk)
         packed_c = pk.pack_terms(c.terms)
-        return not any(divide_terms(packed_product(packed_c, g, base, p), divisors, p, pk) for g in gens)
+        return not any(
+            divide_terms(packed_product(packed_c, g, base, p), divisors, p, pk, membership=True) for g in gens
+        )
 
     bits = fit_bits(max(degree(c.terms) + top, p * top))
     return packed_call(packing(GREVLEX.layout(I.context.arity), bits), run)
@@ -618,8 +637,8 @@ def _finite_member(c: Polynomial, I: IdealPresentation) -> bool:
     at one width, with nothing unpacked: each g packed once, a basis of I
     by ``_packed_basis`` on those, c * g by ``packed_product``, its roots
     split off its keys by ``packed_roots``, and membership of each root
-    as an empty remainder of ``divide_terms``, stopping at the first root
-    that fails.  The width holds every field of c * g, and so of its
+    as an empty remainder of ``divide_terms``, cut at its first term,
+    stopping at the first root that fails.  The width holds every field of c * g, and so of its
     roots and of each g; an overflow elsewhere reruns the whole check
     wider."""
     if c.is_zero():
@@ -634,7 +653,7 @@ def _finite_member(c: Polynomial, I: IdealPresentation) -> bool:
         packed_c = pk.pack_terms(c.terms)
         for g in gens:
             for h in packed_roots(packed_product(packed_c, g, base, p), pk, p).values():
-                if divide_terms(h, divisors, p, pk):
+                if divide_terms(h, divisors, p, pk, membership=True):
                     return False
         return True
 
@@ -706,7 +725,7 @@ def nilpotent_witness(g: Polynomial, I: IdealPresentation, bound: int) -> int | 
     splitting.  All on grevlex packed keys in one ``packed_call``: a basis
     of I by ``_packed_basis`` (membership needs no inter-reduction), g
     packed once, each power one ``packed_product`` by g, and membership
-    an empty remainder of ``divide_terms``.  ``packed_product`` checks no
+    an empty remainder of ``divide_terms``, cut at its first term.  ``packed_product`` checks no
     guard bits, so the width holds every field of g^bound, as well as the
     generators'; an overflow elsewhere reruns the whole check wider.
     """
@@ -721,11 +740,11 @@ def nilpotent_witness(g: Polynomial, I: IdealPresentation, bound: int) -> int | 
     def run(pk: Packing) -> int | None:
         divisors = _packed_basis([pk.pack_terms(h.terms) for h in I.generators], p, pk)
         power = packed_g = pk.pack_terms(g.terms)
-        if not divide_terms(power, divisors, p, pk):
+        if not divide_terms(power, divisors, p, pk, membership=True):
             return None
         for k in range(2, bound + 1):
             power = packed_product(power, packed_g, pk.base, p)
-            if not divide_terms(power, divisors, p, pk):
+            if not divide_terms(power, divisors, p, pk, membership=True):
                 return k
         return None
 

@@ -22,12 +22,18 @@ from .fparith import (
     Coefficient,
     ContextMismatchError,
     Monomial,
-    NotDivisibleError,
+    Packing,
     Polynomial,
     Prime,
     RingContext,
+    degree,
+    divide_terms,
     embed,
-    exact_divide,
+    fit_bits,
+    grevlex_layout,
+    make_divisor,
+    packed_call,
+    packing,
 )
 
 
@@ -156,18 +162,27 @@ def homogeneous_fastpath(sigma: TwistedEndo) -> SplitVerdict:
 def is_divisor_splitting(sigma: TwistedEndo, h: Polynomial) -> bool:
     """True when the splitting sigma is compatible with the divisor of h.
 
-    On affine space this is exact divisibility of the coefficient by h.
-    Requires sigma to actually be a splitting.
+    On affine space this is exact divisibility of the coefficient by h,
+    decided as membership in (h): the coefficient divided by h on grevlex
+    packed keys, stopping at the first remainder term, with no quotient
+    built and nothing unpacked; an overflow reruns it wider.  Requires
+    sigma to actually be a splitting.
     """
     if h.is_zero():
         raise ZeroDivisionError("divisor equation must be nonzero")
     if not check_splitting(sigma).is_splitting:
         raise NotASplittingError("divisor compatibility is only defined for splittings")
-    try:
-        exact_divide(sigma.coeff, h)
-        return True
-    except NotDivisibleError:
-        return False
+    c = sigma.coeff
+    c._check(h)
+    p = c.context.p
+
+    def run(pk: Packing) -> bool:
+        packed_h = pk.pack_terms(h.terms)
+        divisor = make_divisor(packed_h, min(packed_h), p, pk)
+        return not divide_terms(pk.pack_terms(c.terms), (divisor,), p, pk, membership=True)
+
+    bits = fit_bits(max(degree(c.terms), degree(h.terms)))
+    return packed_call(packing(grevlex_layout(c.context.arity), bits), run)
 
 
 def localized_apply(

@@ -306,7 +306,7 @@ def test_p_minus_1_goes_through_the_power_route(monkeypatch):
     monkeypatch.setattr(
         fparith, "packed_power", lambda a, k, *rest: powers.append((len(a), k)) or route(a, k, *rest)
     )
-    monkeypatch.setattr(fparith, "divide_terms", lambda *args: divisions.append(args) or divide(*args))
+    monkeypatch.setattr(fparith, "divide_terms", lambda *args, **options: divisions.append(args) or divide(*args, **options))
     assert parse_expr("(x*y+x+1)^(p-1)", ctx) == expected
     assert powers == [(3, 100)] and len(divisions) == 1
     # One-term bases are raised directly, and other exponents square.

@@ -619,7 +619,7 @@ def test_pow_packs_at_the_width_of_its_route(p, text, k, bits, divisions, monkey
     widths, divided = [], []
     packing, divide = fparith.packing, fparith.divide_terms
     monkeypatch.setattr(fparith, "packing", lambda layout, b: widths.append(b) or packing(layout, b))
-    monkeypatch.setattr(fparith, "divide_terms", lambda *args: divided.append(args) or divide(*args))
+    monkeypatch.setattr(fparith, "divide_terms", lambda *args, **options: divided.append(args) or divide(*args, **options))
     assert f**k == expected
     assert widths == [bits] and len(divided) == divisions
 

@@ -681,6 +681,20 @@ def test_guard_bit_test_matches_monomial_divides(data):
         assert guard_test == monomial_divides(a, b)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_packed_coprime_matches_the_exponents(data):
+    n = data.draw(st.integers(1, 4))
+    exponent = st.sampled_from([0, 0, 1, 2, 7, 127, 128, 2**20])
+    monomials = data.draw(st.lists(st.tuples(*[exponent] * n), max_size=4))
+    expected = all(
+        not any(x and y for x, y in zip(a, b)) for a, b in itertools.combinations(monomials, 2)
+    )
+    for order in _orders(n):
+        pk = _packing_for(order, n, (0,) * n, *monomials)
+        assert pk.coprime(map(pk.pack, monomials)) is expected
+
+
 def _spy_widths(monkeypatch) -> list[int]:
     """Record the field width of every division run by ``idealtheory``."""
     import frobsplit.idealtheory as idealtheory
@@ -688,9 +702,9 @@ def _spy_widths(monkeypatch) -> list[int]:
     widths: list[int] = []
     divide = idealtheory.divide_terms
 
-    def spy(terms, divisors, p, pk, *rest):
+    def spy(terms, divisors, p, pk, *rest, **options):
         widths.append(pk.bits)
-        return divide(terms, divisors, p, pk, *rest)
+        return divide(terms, divisors, p, pk, *rest, **options)
 
     monkeypatch.setattr(idealtheory, "divide_terms", spy)
     return widths
@@ -895,14 +909,24 @@ def _probe_fedder(m):
         runs.append([pk.unpack_terms(g) for g in generators])
         return result
 
-    def counted_divide(terms, divisors, p, pk, quotient=None):
+    def counted_divide(terms, divisors, p, pk, quotient=None, membership=False):
         if not inside[0]:
             memberships.append(terms)
-        return divide(terms, divisors, p, pk, quotient)
+        return divide(terms, divisors, p, pk, quotient, membership)
 
     m.setattr(idealtheory, "_buchberger_core", counted_core)
     m.setattr(idealtheory, "divide_terms", counted_divide)
     return runs, memberships
+
+
+def _coprime_leads(I: IdealPresentation) -> bool:
+    """Do the grevlex leading monomials of I's generators share no
+    variable, pair by pair?  Such generators are their own Groebner basis
+    (Buchberger's first criterion), so the checks run no core on them."""
+    leads = [leading(g, MonomialOrder.grevlex())[0] for g in I.generators]
+    return all(
+        not any(i and j for i, j in zip(a, b)) for a, b in itertools.combinations(leads, 2)
+    )
 
 
 def test_fedder_stops_at_the_first_generator_that_fails(monkeypatch):
@@ -920,12 +944,19 @@ def test_fedder_stops_at_the_first_generator_that_fails(monkeypatch):
         runs, memberships = _probe_fedder(m)
         m.setattr(Polynomial, "pow_p_minus_1", built)
         # 1 * x is not in (x^3, y^3): the first membership test decides.
+        # x^3 and y^3 share no variable, so they are their own basis.
         assert is_compatible(TwistedEndo(ctx.one()), I, "fedder") is False
-        assert (len(runs), len(memberships)) == (1, 1)
+        assert (len(runs), len(memberships)) == (0, 1)
         runs.clear(), memberships.clear()
         # (xy)^2 * x and (xy)^2 * y both are.
         assert is_compatible(xy2, I, "fedder") is True
-        assert (len(runs), len(memberships)) == (1, 2)
+        assert (len(runs), len(memberships)) == (0, 2)
+        runs.clear(), memberships.clear()
+        # 1 * x is not in (x^3, x^3*y^3 + y^6), whose leads share x: the
+        # basis comes from a run, and the first membership decides.
+        J = _ideal(ctx, "x", "x*y + y^2")
+        assert is_compatible(TwistedEndo(ctx.one()), J, "fedder") is False
+        assert (len(runs), len(memberships)) == (1, 1)
         runs.clear(), memberships.clear()
         # (xy)^2 * xy is in ((xy)^3), whose one generator is its own basis.
         assert is_compatible(xy2, _ideal(ctx, "x*y"), "fedder") is True
@@ -972,9 +1003,10 @@ def test_fedder_check_takes_no_roots_and_no_basis_of_the_ideal(data):
         m.setattr(idealtheory, "packed_roots", no_roots)
         verdict = is_compatible(sigma, I, "fedder")
     # The basis of I^[p] comes from its own run, never from one of I,
-    # which the finite method builds; one generator g^p is its own basis,
-    # and c = 0 lies in every ideal: no run at all.
-    needs_a_basis = len(I.generators) > 1 and not sigma.coeff.is_zero()
+    # which the finite method builds; generators g^p whose leads share no
+    # variable, one g^p among them, are their own basis, and c = 0 lies in
+    # every ideal: no run at all.
+    needs_a_basis = not _coprime_leads(I) and not sigma.coeff.is_zero()
     assert runs == ([bracket] if needs_a_basis else [])
     assert verdict == is_compatible(sigma, I, "finite")
 
@@ -1040,9 +1072,10 @@ def test_packed_fedder_verdict_matches_membership_in_a_basis_of_the_bracket_powe
 
 
 def test_fedder_check_that_overflows_reruns_wider(monkeypatch):
-    # x^120 + y^3 and y^120 + x^3*y^3 fit 7-bit fields, their S-pairs do not.
+    # x^120 + y^3 and x^3*y^120 + x^3*y^3 fit 7-bit fields; their leads
+    # share x, and the lcm of those, of degree 240, does not.
     ctx = ring(3, "x y")
-    I = _ideal(ctx, "x^40 + y", "y^40 + x*y")
+    I = _ideal(ctx, "x^40 + y", "x*y^40 + x*y")
     sigma = TwistedEndo(ctx.one())
     wider, widths = Packing.wider, []
 
@@ -1102,9 +1135,10 @@ def test_finite_check_takes_a_basis_of_the_ideal_and_nothing_of_the_bracket(data
         _no_bracket_power(m)
         verdict = is_compatible(sigma, I, "finite")
     # The basis of I comes from its own run, never from one of I^[p],
-    # which the Fedder method builds; one generator g is its own basis,
-    # and c = 0 lies in every ideal: no run at all.
-    needs_a_basis = len(I.generators) > 1 and not sigma.coeff.is_zero()
+    # which the Fedder method builds; generators whose leads share no
+    # variable, one g among them, are their own basis, and c = 0 lies in
+    # every ideal: no run at all.
+    needs_a_basis = not _coprime_leads(I) and not sigma.coeff.is_zero()
     assert runs == ([[g.terms for g in I.generators]] if needs_a_basis else [])
     assert verdict == is_compatible(sigma, I, "fedder")
 
@@ -1117,13 +1151,20 @@ def test_finite_check_stops_at_the_first_root_outside_the_ideal(monkeypatch):
         _no_bracket_power(m)
         # (1 + xy) * x = x + x^2*y has the root 1 twice, and (1 + xy) * y
         # has it too; 1 is not in (x, y), and the first membership decides.
+        # x and y share no variable, so they are their own basis.
         assert is_compatible(TwistedEndo(parse_expr("1 + x*y", ctx)), I, "finite") is False
-        assert (len(runs), len(memberships)) == (1, 1)
+        assert (len(runs), len(memberships)) == (0, 1)
         runs.clear(), memberships.clear()
         # (xy)^2 * x = x^3 * y^2 and (xy)^2 * y have the roots x and y.
         xy2 = TwistedEndo(parse_expr("(x*y)^(p-1)", ctx))
         assert is_compatible(xy2, I, "finite") is True
-        assert (len(runs), len(memberships)) == (1, 2)
+        assert (len(runs), len(memberships)) == (0, 2)
+        runs.clear(), memberships.clear()
+        # (1 + xy) * x has the root 1, not in (x, x*y + y^2), whose leads
+        # share x: the basis comes from a run, and the first root decides.
+        J = _ideal(ctx, "x", "x*y + y^2")
+        assert is_compatible(TwistedEndo(parse_expr("1 + x*y", ctx)), J, "finite") is False
+        assert (len(runs), len(memberships)) == (1, 1)
         runs.clear(), memberships.clear()
         # (xy)^2 * xy has the one root xy, and (xy) is its own basis.
         assert is_compatible(xy2, _ideal(ctx, "x*y"), "finite") is True
@@ -1135,10 +1176,10 @@ def test_finite_check_stops_at_the_first_root_outside_the_ideal(monkeypatch):
 
 
 def test_finite_check_that_overflows_reruns_wider(monkeypatch):
-    # x^100 + y and y^100 + x fit 7-bit fields; the lcm of their leading
-    # monomials, of degree 200, does not.
+    # x^100 + y and x*y^100 + x fit 7-bit fields; their leading monomials
+    # share x, and the lcm of those, of degree 200, does not.
     ctx = ring(3, "x y")
-    I = _ideal(ctx, "x^100 + y", "y^100 + x")
+    I = _ideal(ctx, "x^100 + y", "x*y^100 + x")
     sigma = TwistedEndo(ctx.one())
     wider, widths = Packing.wider, []
 
@@ -1346,6 +1387,73 @@ def test_membership_by_the_minimal_basis_matches_the_reduced_basis(data):
     top = max(degree(h.terms) for h in I.generators + ((f,) if f.terms else ()))
     verdict = packed_call(packing(order.layout(ctx.arity), fit_bits(top)), run)
     assert verdict is buchberger(I, order).contains(f)
+    if kind == "member":
+        assert verdict is True
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_membership_by_the_packed_basis_matches_the_core_and_the_reduced_basis(data):
+    import frobsplit.idealtheory as idealtheory
+
+    ctx = data.draw(contexts)
+    p = ctx.p
+    gens = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        kind = data.draw(st.sampled_from(["random", "variable power", "repeated"]))
+        if kind == "repeated" and gens:
+            gens.append(data.draw(st.sampled_from(gens)).scale(data.draw(st.integers(1, p - 1))))
+            continue
+        g = data.draw(polys(ctx, max_exp=2, max_terms=3))
+        if kind == "variable power":
+            # It leads g, and such leads of two distinct variables are coprime.
+            g = g + ctx.variable(data.draw(st.integers(0, ctx.arity - 1))) ** 7
+        # With no constant term, no generator but a constant below makes
+        # the unit ideal.
+        g = g - ctx.constant(g.terms.get((0,) * ctx.arity, 0))
+        gens.append(g if not g.is_zero() else ctx.variable(0))
+    if data.draw(st.integers(0, 4)) == 0:
+        gens[data.draw(st.integers(0, len(gens) - 1))] = ctx.constant(data.draw(st.integers(1, p - 1)))
+    I = IdealPresentation(ctx, gens)
+    kind = data.draw(st.sampled_from(["random", "member", "member plus a constant"]))
+    if kind == "random":
+        f = data.draw(polys(ctx, max_exp=3, max_terms=4))
+    else:
+        f = ctx.zero()
+        for g in I.generators:
+            f = f + data.draw(polys(ctx, max_exp=2, max_terms=2)) * g
+        if kind != "member":
+            # Not a member, unless a generator is a constant.
+            f = f + ctx.constant(data.draw(st.integers(1, p - 1)))
+    core, runs = idealtheory._buchberger_core, []
+
+    def counted_core(*args):
+        runs.append(args)
+        return core(*args)
+
+    def run(pk):
+        runs.clear()
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(idealtheory, "_buchberger_core", counted_core)
+            basis = idealtheory._packed_basis([pk.pack_terms(g.terms) for g in I.generators], p, pk)
+        packed_f = pk.pack_terms(f.terms)
+        full = divide_terms(packed_f, basis, p, pk)
+        early = divide_terms(packed_f, basis, p, pk, membership=True)
+        minimal = _minimal_basis(I, pk)
+        by_core = divide_terms(packed_f, minimal, p, pk)
+        by_core_early = divide_terms(packed_f, minimal, p, pk, membership=True)
+        return len(runs), full, early, by_core, by_core_early
+
+    top = max(degree(h.terms) for h in I.generators + ((f,) if f.terms else ()))
+    layout = MonomialOrder.grevlex().layout(ctx.arity)
+    core_runs, full, early, by_core, by_core_early = packed_call(packing(layout, fit_bits(top)), run)
+    assert core_runs == (0 if _coprime_leads(I) else 1)
+    # The early remainder is the full one's leading term, or nothing.
+    assert early == dict(list(full.items())[:1])
+    assert by_core_early == dict(list(by_core.items())[:1])
+    G = buchberger(I)
+    verdict = not full
+    assert verdict is (not by_core) is G.contains(f) is normal_form(f, G).is_zero()
     if kind == "member":
         assert verdict is True
 

@@ -203,6 +203,42 @@ def test_divisor_splitting_preconditions():
         is_divisor_splitting(sigma, ctx.zero())
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_divisor_splitting_matches_exact_division(data):
+    ctx = data.draw(contexts)
+    p, n = ctx.p, ctx.arity
+    q = data.draw(polys(ctx, max_exp=3, max_terms=3))
+    # No term of q has every exponent divisible by p, so no term of
+    # (x_1...x_n)^(p-1) * q survives the trace, and c is a splitting.
+    factor = ctx.one() + Polynomial(ctx, {m: v for m, v in q.terms.items() if any(e % p for e in m)})
+    c = ctx.monomial((p - 1,) * n) * factor
+    kind = data.draw(st.sampled_from(["factor", "factor times more", "monomial", "random"]))
+    if kind == "factor":
+        h = factor.scale(data.draw(st.integers(1, p - 1)))
+    elif kind == "factor times more":
+        h = factor * data.draw(polys(ctx, max_exp=2, max_terms=2, nonzero=True))
+    elif kind == "monomial":
+        h = ctx.monomial(data.draw(st.tuples(*[st.integers(0, p)] * n)))
+    else:
+        h = data.draw(polys(ctx, max_exp=3, max_terms=3, nonzero=True))
+    try:
+        fparith.exact_divide(c, h)
+        expected = True
+    except fparith.NotDivisibleError:
+        expected = False
+    assert is_divisor_splitting(TwistedEndo(c), h) is expected
+    if kind == "factor":
+        assert expected is True
+
+
+def test_divisor_splitting_refuses_a_divisor_of_another_ring():
+    sigma = TwistedEndo(parse_expr("(x*y)^(p-1)", ring(3, "x y")))
+    for other in (ring(3, "x z"), ring(5, "x y")):
+        with pytest.raises(ContextMismatchError):
+            is_divisor_splitting(sigma, other.variable("x"))
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_localized_sends_tp_to_t(p):
     # The fraction-field splitting of F[t] must send t^p to t.
