@@ -29,11 +29,8 @@ the evaluators recurse once per level.  Evaluation has a size budget,
 checked before anything is expanded: an integer in an exponent, and
 every exponent a power produces, has at most ``MAX_EXPONENT_BITS`` bits,
 a product of more than ``fparith.MAX_TERM_PRODUCTS`` term products is
-refused, as is a power that ``fparith.power_too_large`` refuses.  That
-gate estimates a power by the route it takes: the powers of the base-p
-digits of e and their products, so a power that characteristic p keeps
-sparse, such as (x+y+z)^300 at p = 3, is admitted.  Errors are found
-depth first, left to right, and are ``ParseError``.
+refused, as is a power that ``fparith.power_too_large`` refuses.  Errors
+are found depth first, left to right, and are ``ParseError``.
 """
 
 from __future__ import annotations

@@ -8,31 +8,12 @@ reparseable.
 
 Beyond ring arithmetic this module provides the characteristic-p
 primitives everything else builds on: the Frobenius power f -> f^p
-(computed by exponent scaling, never by expansion), powers f^k by the
-base-p digits of k (``packed_power``), the p-th-root decomposition
-f = sum_b x^b * h_b^p (``packed_roots``), and the division engine
-(``divide_terms``) that both exact division here and Groebner reduction
-in ``idealtheory`` run on.
-
-The division engine and powers f^k work on packed keys (``Packing``):
-a monomial order's fields, each an exponent sum or its negation, side
-by side in one int with a guard bit above each, so that ascending ints
-are descending monomials.  The key is affine in the exponents, so a
-multiple of a term is one int addition, and divisibility is one
-subtraction and mask on the guard bits (Monagan and Pearce, CASC 2007;
-J. Symb. Comp. 46, 2011).  A field and its guard bit fill 1, 2, 4 or 8
-bytes, so a key is unpacked by one ``struct`` call.  A new term whose
-guard bit is set has left its field; ``PackingOverflow`` is raised and
-``packed_call`` reruns the computation at the next width, so no field
-ever wraps.  A power packs f once at the width of f^k, where no field can
-overflow, and unpacks once.  The Frobenius is a ring map, so
-f^k = prod_i (f^(d_i))^[p^i] for the base-p digits d_i of k, where each
-^[p^i] is a key map (``packed_power``); only this module chooses how a
-digit's power is taken (``log_power_bounds``), and only it decides
-whether a power is too large to build (``power_too_large``, which the
-parser, the Fedder module and the nested-minor section ask first).  A
-chain of products and powers, such as ``rescert``'s nested minors, can
-stay on keys too.
+(computed by exponent scaling, never by expansion), powers f^k
+(``packed_power``) and the gate that refuses one too large to build
+(``power_too_large``), the p-th-root decomposition f = sum_b x^b * h_b^p
+(``packed_roots``), and the division engine (``divide_terms``) that both
+exact division here and Groebner reduction in ``idealtheory`` run on.
+These work on packed monomial keys (``Packing``, ``packed_call``).
 ``Polynomial.__mul__`` stays on exponent tuples: a single product would
 pay for packing and unpacking both operands.
 """
@@ -393,13 +374,8 @@ class Polynomial:
         return Polynomial._raw(self.context, {m: (a * c) % p for m, a in self.terms.items()})
 
     def __pow__(self, k: int) -> "Polynomial":
-        """f^k by the base-p digits of k on packed keys (``packed_power``).
-
-        f is packed once at the width that holds every field of f^k, and
-        of f^p when k = p-1 is taken by division, so no field can
-        overflow, and the result is unpacked once.  A one-term f is raised
-        directly.
-        """
+        """f^k by ``packed_power``: f packed once at the width it asks for,
+        and the result unpacked once.  A one-term f is raised directly."""
         if k < 0:
             raise ValueError("negative power of a polynomial")
         if k == 0:
@@ -411,9 +387,7 @@ class Polynomial:
             ((m, c),) = self.terms.items()
             return Polynomial._raw(self.context, {tuple(e * k for e in m): pow(c, k, p)})
         d = degree(self.terms)
-        # A k of two digits or more is at least p: its width holds f^p.
-        top = p if k == p - 1 and _p_minus_1_route(len(self.terms), n, d, p)[1] else k
-        pk = packing(grevlex_layout(n), fit_bits(top * d))
+        pk = packing(grevlex_layout(n), fit_bits((p if k == p - 1 else k) * d))
         power = packed_power(pk.pack_terms(self.terms), k, d, pk, p)
         return Polynomial._raw(self.context, pk.unpack_terms(power))
 
@@ -442,11 +416,8 @@ class Polynomial:
         return Polynomial._raw(self.context, {tuple(e * p for e in m): c for m, c in self.terms.items()})
 
     def pow_p_minus_1(self) -> "Polynomial":
-        """f^(p-1), as ``f ** (p-1)``: by dividing the free Frobenius power
-        f^p exactly by f or by squaring, whichever is estimated cheaper
-        (``_p_minus_1_route``).  A one-term f, or any f at p = 2, is raised
-        with no estimate.  Raises ZeroDivisionError for f = 0.
-        """
+        """f^(p-1), as ``f ** (p-1)``, by the route ``packed_power`` takes.
+        Raises ZeroDivisionError for f = 0."""
         if not self.terms:
             raise ZeroDivisionError("f^(p-1) is undefined for f = 0")
         return self ** (self.context.p - 1)
@@ -507,28 +478,32 @@ class PackingOverflow(ArithmeticError):
 class Packing:
     """Monomials of one order and arity packed into ints, ``bits`` per field.
 
-    A field holds its exponent sum s, or D - s when negated, where
-    D = 2^bits - 1, and has a guard bit above it that every in-range key
-    leaves clear.  The key is affine in the exponent vector,
+    The order's fields (``Layout``) sit side by side in one int, each
+    holding its exponent sum s, or D - s when negated, where
+    D = 2^bits - 1, with a guard bit above it that every in-range key
+    leaves clear (Monagan and Pearce, CASC 2007; J. Symb. Comp. 46, 2011).
+    The key is affine in the exponent vector,
     ``key(m) = base + sum(m_i * weights[i])``, so ascending ints are
     descending monomials, key(m*s) = key(m) + key(s) - base, and the sum
     of two in-range keys minus ``base`` sets a guard bit exactly when a
-    field of the product leaves [0, D]: that is how overflow is seen.
-    ``key ^ base`` is the positive form, every field a plain exponent sum,
-    in which x^a divides x^b iff ((pos(b) | guards) - pos(a)) & guards
-    == guards (no field borrows).
+    field of the product leaves [0, D].  A computation that sees a guard
+    bit set raises ``PackingOverflow``, and ``packed_call`` reruns it at
+    the next width, so no field ever wraps.  ``key ^ base`` is the
+    positive form, every field a plain exponent sum, in which x^a divides
+    x^b iff ((pos(b) | guards) - pos(a)) & guards == guards (no field
+    borrows).
 
     At the widths ``fit_bits`` picks, 7, 15, 31 or 63 bits, a field and
     its guard bit fill 1, 2, 4 or 8 bytes, so the positive form's
-    little-endian bytes are the fields themselves, and one ``struct``
-    unpack reads every variable's field of a key at once.  Wider fields,
-    and widths that are not whole bytes, are read one shift and mask at a
-    time.
+    little-endian bytes are the fields themselves.  When the variables'
+    fields also come out in variable order, as grevlex's do, one
+    ``struct`` unpack reads a key's exponents at once.  Other keys are
+    read one shift and mask at a time.
     """
 
     __slots__ = (
         "layout", "bits", "mask", "weights", "base", "guards", "shifts",
-        "_nbytes", "_struct", "_pick", "_fields", "_carries",
+        "_nbytes", "_struct", "_fields", "_carries",
     )
 
     def __init__(self, layout: Layout, bits: int):
@@ -557,19 +532,15 @@ class Packing:
         self._fields = sum(mask << pos for pos in shifts)
         self._carries = sum(1 << (pos + bits) for pos in shifts)
         self._nbytes = len(layout) * width // 8
-        self._struct = self._pick = None
+        self._struct = None
         code = {8: "B", 16: "H", 32: "I", 64: "Q"}.get(width)
-        if code:
+        if code and shifts == sorted(shifts):
             # The fields least significant first, a variable's as an
             # integer and the others as pad bytes.
             fields = [f"{width // 8}x"] * len(layout)
             for pos in shifts:
                 fields[pos // width] = code
             self._struct = Struct("<" + "".join(fields))
-            # Variable i comes out at the rank of its field.
-            ranks = [sorted(shifts).index(pos) for pos in shifts]
-            if ranks != list(range(arity)):
-                self._pick = itemgetter(*ranks)
 
     def wider(self) -> "Packing":
         return packing(self.layout, 2 * self.bits + 1)
@@ -582,8 +553,7 @@ class Packing:
         if self._struct is None:
             pos, mask = key ^ self.base, self.mask
             return tuple([(pos >> s) & mask for s in self.shifts])
-        m = self._struct.unpack((key ^ self.base).to_bytes(self._nbytes, "little"))
-        return m if self._pick is None else self._pick(m)
+        return self._struct.unpack((key ^ self.base).to_bytes(self._nbytes, "little"))
 
     def coprime(self, keys: Iterable[int]) -> bool:
         """Are the monomials of ``keys`` pairwise coprime?  Each one's
@@ -604,7 +574,7 @@ class Packing:
         return {sum(map(mul, m, weights), base): c for m, c in terms.items()}
 
     def unpack_terms(self, terms: Mapping[int, int]) -> dict[Monomial, int]:
-        if self._struct is None or self._pick is not None:
+        if self._struct is None:
             unpack = self.unpack
             return {unpack(k): c for k, c in terms.items()}
         # ``unpack`` written out: this runs once per term of every result.
@@ -622,9 +592,8 @@ _START_BITS = 7
 
 def fit_bits(degree: int) -> int:
     """The narrowest field width of 7, 15, 31, 63, ... bits, each twice the
-    last plus one, that holds every exponent sum of a monomial of total
-    degree ``degree``.  With its guard bit such a field fills 1, 2, 4, 8,
-    ... bytes, which ``Packing`` decodes in one call up to 8."""
+    last plus one (``Packing.wider``), that holds every exponent sum of a
+    monomial of total degree ``degree``."""
     bits = _START_BITS
     while degree >> bits:
         bits = 2 * bits + 1
@@ -683,10 +652,17 @@ def _packed_square(a: Mapping[int, int], base: int, p: int) -> dict[int, int]:
 
 def packed_power(a: Mapping[int, int], k: int, degree: int, pk: Packing, p: int) -> Mapping[int, int]:
     """a^k for k >= 1 on packed keys, for nonzero a of total degree
-    ``degree``, as prod_i (a^(d_i))^[p^i] for the base-p digits d_i of k:
-    each digit's power (``_digit_power``) moved to p^i by the key map
-    base + p^i * (key - base), and multiplied in, lowest first.  The width
-    must hold every field of a^k, and of a^p when a digit p-1 divides."""
+    ``degree``.  The Frobenius is a ring map, so a^k = prod_i
+    (a^(d_i))^[p^i] for the base-p digits d_i of k, and each ^[p^i] is the
+    key map base + p^i * (key - base): each digit's power
+    (``_digit_power``) is moved to its place and multiplied in, lowest
+    first.  A digit d is raised by square-and-multiply, each squaring by
+    ``_packed_square``, except that the digit p-1 is taken by dividing the
+    Frobenius power a^p exactly by a where ``_p_minus_1_route`` estimates
+    that cheaper.  Products check no guard bits, so the width must hold
+    every field of a^k, and for k = p-1 of a^p, so that a caller need not
+    know the route; a k of two digits or more is at least p, so a^k's
+    width holds a^p."""
     base = pk.base
     result, place = None, 1
     while k:
@@ -701,15 +677,13 @@ def packed_power(a: Mapping[int, int], k: int, degree: int, pk: Packing, p: int)
 
 
 def _digit_power(a: Mapping[int, int], d: int, degree: int, pk: Packing, p: int) -> Mapping[int, int]:
-    """a^d for a base-p digit d >= 1: for d = p-1, when ``_p_minus_1_route``
-    estimates it cheaper, the Frobenius power a^p, whose keys are
-    base + p * (key - base), divided exactly by a; otherwise
-    square-and-multiply, each squaring by ``_packed_square``."""
+    """a^d for a base-p digit d >= 1, by the route ``packed_power``
+    describes."""
     base = pk.base
     if d == p - 1 and _p_minus_1_route(len(a), len(pk.weights), degree, p)[1]:
         quotient: dict[int, int] = {}
         frobenius = {base + p * (key - base): c for key, c in a.items()}
-        divide_terms(frobenius, (make_divisor(a, min(a), p, pk),), p, pk, quotient)
+        divide_terms(frobenius, (make_divisor(a, p, pk),), p, pk, quotient)
         return quotient
     result = None
     while True:
@@ -730,7 +704,7 @@ def packed_roots(terms: Mapping[int, int], pk: Packing, p: int) -> dict[Monomial
     key(x^b) is packed once per distinct b.  Every field of a root is at
     most the term's, so the roots fit wherever the terms do."""
     base = pk.base
-    if pk._struct is None or pk._pick is not None:
+    if pk._struct is None:
         exponents = map(pk.unpack, terms)
     else:
         # ``unpack`` written out, as in ``Packing.unpack_terms``.
@@ -758,9 +732,10 @@ monomial, that key's positive form, the inverse of its leading
 coefficient, and its other terms by key."""
 
 
-def make_divisor(terms: Mapping[int, int], lead: int, p: int, pk: Packing) -> Divisor:
-    """Prepare packed terms, whose leading key is ``lead``, for
-    ``divide_terms``; a monic divisor needs no inversion."""
+def make_divisor(terms: Mapping[int, int], p: int, pk: Packing) -> Divisor:
+    """Prepare nonempty packed terms for ``divide_terms``, led by their
+    least key, the largest monomial; a monic divisor needs no inversion."""
+    lead = min(terms)
     tail = dict(terms)
     c = tail.pop(lead)
     inv = 1 if c == 1 else pow(c, p - 2, p)
@@ -848,8 +823,7 @@ def exact_divide(a: Polynomial, b: Polynomial) -> Polynomial:
     p = a.context.p
 
     def run(pk: Packing) -> tuple[dict[Monomial, int], dict[Monomial, int]]:
-        packed_b = pk.pack_terms(b.terms)
-        divisor = make_divisor(packed_b, min(packed_b), p, pk)
+        divisor = make_divisor(pk.pack_terms(b.terms), p, pk)
         quotient: dict[int, int] = {}
         remainder = divide_terms(pk.pack_terms(a.terms), (divisor,), p, pk, quotient)
         return pk.unpack_terms(remainder), pk.unpack_terms(quotient)
@@ -910,8 +884,9 @@ def _log_square_and_multiply(terms: int, arity: int, degree: int, k: int, cap: f
 
 
 MAX_TERM_PRODUCTS = 10**7
-"""Term products allowed, by estimate, in one product or power, a few
-seconds of work: (x+y)^(10^6) at p = 1000003, whose exponent is one
+"""Term products allowed, by estimate, in one product or power, and in
+all the products of one nilpotency search (``idealtheory``): a few
+seconds of work.  (x+y)^(10^6) at p = 1000003, whose exponent is one
 digit, is refused at once.  It bounds the work, not the result, which
 ``MAX_POWER_TERMS`` bounds."""
 
@@ -944,9 +919,8 @@ def _p_minus_1_route(terms: int, arity: int, degree: int, p: int) -> tuple[float
     5151 * 3 updates against 1.86 million products.  Squaring wins for a
     dense f at a small p: the 1379-term product of the 4x4 nested minors
     at p = 3 is 1379 * 1380 / 2 products against 61824 * 1379 updates,
-    0.47 s against 53 s (2 cores, Python 3.11).  Cached:
-    ``Polynomial.__pow__`` reads the route for its width, then
-    ``packed_power`` and ``power_too_large`` read it again.
+    0.47 s against 53 s (2 cores, Python 3.11).  Cached: ``_digit_power``
+    reads the route, and ``log_power_bounds`` its estimates.
     """
     log_terms = log_power_terms(terms, arity, degree, p - 1, _ROUTE_CAP)
     log_division = log(terms) + log_terms

@@ -1,49 +1,32 @@
 """Groebner bases over F_p and everything ideal-compatibility related.
 
-The engine is Buchberger's algorithm on ``fparith.divide_terms``, the
-division routine shared with exact division.  Inside it every monomial
-is a packed int key (``fparith.Packing``, laid out per order by
-``MonomialOrder.layout``): heaps hold bare ints, a multiple of a term is
-one int addition, divisibility is a guard-bit test, and exponent tuples
-come back only in the result.  Every basis element's leading monomial is
-found once, when the element is added.  A ``GroebnerBasis`` keeps its
+The engine is Buchberger's algorithm (``buchberger``) on
+``fparith.divide_terms``, the division routine shared with exact
+division, run on packed monomial keys (``fparith.Packing``, laid out per
+order by ``MonomialOrder.layout``).  A ``GroebnerBasis`` keeps its
 elements packed in one slot, filled on first use, so a normal form packs
-only the polynomial reduced; its leading monomials are read from there.
-S-pairs wait on a heap keyed by the order key of their lcm (the normal
-selection strategy, ties broken by index), pruned by the Gebauer-Moller
-update as each element arrives.  A run ends with a minimal basis, which
-decides membership as any Groebner basis does.  Where a basis is unpacked
-(``buchberger``, ``intersect``, the existence test) it is inter-reduced
-first, so the basis returned for given generators and order is the
-unique reduced one and the whole pipeline is deterministic.  On top of
-it sit the Frobenius bracket power I^[p], colon ideals by tag-variable
-elimination, the colon module (I^[p] : I) whose elements are exactly the
-coefficients of twisted endomorphisms compatible with I (Fedder's
-criterion; (g^[p] : g) is (g^(p-1)) for I = (g)), the compatibility
-check in two independent forms, each on packed keys with a basis of its
-own, never inter-reduced (Fedder's, membership of c * g in I^[p] for
-each generator g against a basis of I^[p], with no colon built; and the
-finite one, membership in I of every p-th root of c * g against a basis
-of I, which cross-validates it), the existence test for compatible
-splittings on the same p-th-root decomposition, and nilpotency
-witnesses.  A basis that only decides membership (``_packed_basis``) is
-the generators themselves when their leading monomials are pairwise
-coprime (Buchberger's first criterion), else the minimal basis of their
-own run, and each membership division stops at the first term of its
-remainder.  A Fedder module is refused before anything is built when
-the product of the generators to the p-1, which it holds, is a power too
-large to build (``fparith.power_too_large``, the parser's gate).
+only the polynomial reduced.  A basis that is unpacked is the reduced
+one, so the whole pipeline is deterministic.  On top of it sit the
+Frobenius bracket power I^[p], colon ideals by tag-variable elimination,
+the colon module (I^[p] : I) whose elements are exactly the coefficients
+of twisted endomorphisms compatible with I (Fedder's criterion,
+``fedder_module``), the compatibility check in two independent forms
+(``is_compatible``), each deciding membership on a basis of its own
+(``_packed_basis``), the existence test for compatible splittings on the
+p-th-root decomposition (``exists_compatible_splitting``), and
+nilpotency witnesses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial, reduce
+from functools import cached_property, lru_cache, reduce
 from heapq import heappop, heappush
 from math import prod
 from operator import mul
 
 from .fparith import (
+    MAX_TERM_PRODUCTS,
     ContextMismatchError,
     Divisor,
     Layout,
@@ -196,8 +179,7 @@ class GroebnerBasis:
 
 def _pack(basis: tuple[Polynomial, ...], pk: Packing, p: int) -> list[Divisor]:
     """Polynomials as divisors packed with ``pk``, each led by its least key."""
-    packed = [pk.pack_terms(g.terms) for g in basis]
-    return [make_divisor(terms, min(terms), p, pk) for terms in packed]
+    return [make_divisor(pk.pack_terms(g.terms), p, pk) for g in basis]
 
 
 def _lcm(pk: Packing, a: Monomial, b: Monomial) -> tuple[Monomial, int]:
@@ -270,23 +252,19 @@ def buchberger(I: IdealPresentation, order: MonomialOrder = GREVLEX) -> Groebner
     basis, sorted by decreasing leading monomial; each tail is then
     reduced by the other elements, which leaves the reduced basis.
 
-    All of this runs on packed keys (``fparith.Packing``): elements,
-    S-polynomials and pair lcms are ints, divisibility is a guard-bit
-    test, and the terms are unpacked to exponent tuples only for the
-    result.  A field that overflows reruns the whole computation at the
-    next width.
+    All of this runs on packed keys in one ``fparith.packed_call``, and
+    the terms are unpacked to exponent tuples only for the result.
     """
     ctx = I.context
     if I.is_zero_ideal():
         return GroebnerBasis(ctx, order, ())
+
+    def run(pk: Packing) -> GroebnerBasis:
+        core = _buchberger_core([pk.pack_terms(g.terms) for g in I.generators], ctx.p, pk)
+        return _unpack_basis(ctx, order, pk, *core)
+
     bits = fit_bits(max(degree(g.terms) for g in I.generators))
-    return packed_call(packing(order.layout(ctx.arity), bits), partial(_buchberger, I, order))
-
-
-def _buchberger(I: IdealPresentation, order: MonomialOrder, pk: Packing) -> GroebnerBasis:
-    ctx = I.context
-    core = _buchberger_core([pk.pack_terms(g.terms) for g in I.generators], ctx.p, pk)
-    return _unpack_basis(ctx, order, pk, *core)
+    return packed_call(packing(order.layout(ctx.arity), bits), run)
 
 
 def _unpack_basis(
@@ -496,8 +474,9 @@ def _check_fedder_budget(I: IdealPresentation, total: int) -> None:
     ``fedder_module`` builds the module, and so only it is bounded.  It
     bounds the module's size, not the time of the colons that build it:
     on the 2x2 minors of a generic 2x3 matrix, ``exists_compatible_splitting``
-    takes 0.25 s at p = 7, 2.3 s at p = 11 and 5.5 s at p = 13, and p = 17
-    is refused (one core of a 2-core Intel Xeon, Python 3.11)."""
+    takes 0.2 s at p = 7, 1.9 s at p = 11 and 5.6 s at p = 13, and p = 17
+    is refused (medians of three calls, each in a fresh process, on a
+    shared 2-core Intel Xeon, Python 3.11.7)."""
     ctx = I.context
     if power_too_large(prod(len(g.terms) for g in I.generators), ctx.arity, total, ctx.p - 1, ctx.p):
         raise ValueError(
@@ -537,30 +516,15 @@ def is_compatible(
 
     method "fedder" is Fedder's criterion in its plain form: the
     coefficient c lies in (I^[p] : I) iff c * g lies in I^[p] for every
-    generator g.  It is membership of c * g in I^[p], one basis of I^[p]
-    (the g^p themselves when their leading monomials are pairwise
-    coprime, a single g^p among them, else by its own Buchberger run) and
-    one division per generator, stopping at the first that leaves a
-    remainder; no colon is built.  All of it runs on packed keys at one
-    width, with no polynomial built in between: g^p and c * g are formed
-    on keys, and the whole check reruns wider if a field overflows.
-    method "finite" checks, for every generator g, that every root h_b
-    of coeff * g = sum_b x^b * h_b^p lies in I, with no colon computed.
-    This is complete: sigma(I) lies in I iff every trace(x^a * coeff * g)
-    with a in [0, p-1]^n does, since every polynomial is a combination
-    sum_a r_a^p x^a, and that trace is h_{(p-1)-a}.  It runs on packed
-    keys at one width too: one basis of I (the g themselves when their
-    leading monomials are pairwise coprime, else by its own Buchberger
-    run), coeff * g formed and split into its roots on keys
-    (``fparith.packed_roots``), with nothing unpacked, and one division
-    per root, stopping at the first that leaves a remainder; the whole
-    check reruns wider if a field overflows.  Each basis only decides
-    membership (``_packed_basis``): a run's is the minimal one it ends
-    with, not inter-reduced, and each division stops at the first term
-    of its remainder.  The two bases, of I^[p] and of I, come from
-    separate generators, and from separate runs where they need one, so
-    "both" compares two independent computations: it runs the two and
-    raises if they disagree.  Neither builds a Fedder module, so
+    generator g, so no colon is built (``_fedder_member``).  method
+    "finite" checks, for every generator g, that every root h_b of
+    c * g = sum_b x^b * h_b^p lies in I (``_finite_member``).  This is
+    complete: sigma(I) lies in I iff every trace(x^a * c * g) with a in
+    [0, p-1]^n does, since every polynomial is a combination
+    sum_a r_a^p x^a, and that trace is h_{(p-1)-a}.  The two decide
+    membership in different ideals, from different generators, so "both"
+    compares two independent computations: it runs the two and raises if
+    they disagree.  Neither builds a Fedder module, so
     ``_check_fedder_budget`` does not apply.
     """
     if sigma.context != I.context:
@@ -585,33 +549,29 @@ def is_compatible(
 
 def _packed_basis(gens: list[dict[int, int]], p: int, pk: Packing) -> list[Divisor]:
     """A Groebner basis of the ideal of nonzero packed generators, as
-    divisors for ``divide_terms``.  Generators whose leading monomials
-    are pairwise coprime (``Packing.coprime``) are one already, by
-    Buchberger's first criterion (each S-polynomial reduces to zero), and
-    are taken with no run; one generator is, with no test.  A nonzero
-    constant's lead is coprime to every other, and by it every remainder
-    is empty, as for the unit ideal.  Any other set goes through
-    ``_buchberger_core``, whose minimal basis is taken as it is.  It only
-    decides membership, by an empty remainder, which any Groebner basis
-    does; inter-reducing it would cost divisions and change no verdict."""
-    if len(gens) == 1:
-        (g,) = gens
-        return [make_divisor(g, min(g), p, pk)]
-    if pk.coprime(map(min, gens)):
-        return [make_divisor(g, min(g), p, pk) for g in gens]
+    divisors for the membership checks of ``_fedder_member``,
+    ``_finite_member`` and ``nilpotent_witness``.  Generators whose
+    leading monomials are pairwise coprime (``Packing.coprime``) are one
+    already, by Buchberger's first criterion (each S-polynomial reduces
+    to zero), and are taken with no run; one generator is, with no test.
+    A nonzero constant's lead is coprime to every other, and by it every
+    remainder is empty, as for the unit ideal.  Any other set goes
+    through ``_buchberger_core``, whose minimal basis is taken as it is,
+    not inter-reduced: any Groebner basis decides membership by an empty
+    remainder, so inter-reducing it would cost divisions and change no
+    verdict."""
+    if len(gens) == 1 or pk.coprime(map(min, gens)):
+        return [make_divisor(g, p, pk) for g in gens]
     return _buchberger_core(gens, p, pk)[0]
 
 
 def _fedder_member(c: Polynomial, I: IdealPresentation) -> bool:
     """Does c * g lie in I^[p] for every generator g of the nonzero ideal
-    I?  All on grevlex packed keys at one width: each g packed once, g^p
+    I?  In one ``packed_call`` on grevlex keys: each g packed once, g^p
     as the key map base + p * (key - base), a basis of I^[p] by
-    ``_packed_basis`` on those (the g^p themselves when their leading
-    monomials, p times those of the g, are pairwise coprime), c * g by
-    ``packed_product``, and membership as an empty remainder of
-    ``divide_terms``, cut at its first term, stopping at the first
-    generator that fails.  The width holds every field of c * g and
-    g^p; an overflow elsewhere reruns the whole check wider."""
+    ``_packed_basis``, c * g by ``packed_product``, whose fields the width
+    holds, and one membership division of each, stopping at the first
+    generator that fails."""
     if c.is_zero():
         return True
     p = I.context.p
@@ -628,19 +588,16 @@ def _fedder_member(c: Polynomial, I: IdealPresentation) -> bool:
         )
 
     bits = fit_bits(max(degree(c.terms) + top, p * top))
-    return packed_call(packing(GREVLEX.layout(I.context.arity), bits), run)
+    return packed_call(packing(grevlex_layout(I.context.arity), bits), run)
 
 
 def _finite_member(c: Polynomial, I: IdealPresentation) -> bool:
     """Does every p-th root h_b of c * g = sum_b x^b * h_b^p lie in the
-    nonzero ideal I, for every generator g?  All on grevlex packed keys
-    at one width, with nothing unpacked: each g packed once, a basis of I
-    by ``_packed_basis`` on those, c * g by ``packed_product``, its roots
-    split off its keys by ``packed_roots``, and membership of each root
-    as an empty remainder of ``divide_terms``, cut at its first term,
-    stopping at the first root that fails.  The width holds every field of c * g, and so of its
-    roots and of each g; an overflow elsewhere reruns the whole check
-    wider."""
+    nonzero ideal I, for every generator g?  In one ``packed_call`` on
+    grevlex keys, with nothing unpacked: each g packed once, a basis of I
+    by ``_packed_basis``, c * g by ``packed_product``, whose fields the
+    width holds, its roots by ``packed_roots``, and one membership
+    division of each root, stopping at the first that fails."""
     if c.is_zero():
         return True
     ctx = I.context
@@ -658,7 +615,7 @@ def _finite_member(c: Polynomial, I: IdealPresentation) -> bool:
         return True
 
     bits = fit_bits(degree(c.terms) + max(degree(g.terms) for g in I.generators))
-    return packed_call(packing(GREVLEX.layout(ctx.arity), bits), run)
+    return packed_call(packing(grevlex_layout(ctx.arity), bits), run)
 
 
 @dataclass(frozen=True)
@@ -677,21 +634,20 @@ def exists_compatible_splitting(I: IdealPresentation) -> ExistsSplitVerdict:
     missed.  A compatible splitting exists iff that ideal is the whole
     ring; its reduced grevlex basis is returned as the obstruction.
 
-    The module's generators are packed once at the width of the largest,
-    split on their keys by ``packed_roots``, and the roots go straight to
+    In one ``packed_call`` on grevlex keys, the module's generators are
+    split by ``packed_roots`` and the roots go straight to
     ``_buchberger_core``; only the reduced basis is unpacked.  For
-    I = (g) the module (g^(p-1)) is not built as a polynomial: g is packed
-    at the width of g^p and raised on keys (``packed_power``, by the
-    route ``pow_p_minus_1`` takes).  ``fedder_module`` scales g^(p-1) by a
-    unit, which changes neither the ideal its roots generate nor its
-    reduced basis.  An overflow reruns the whole computation wider.
-    Raises ValueError, before anything is built, when the module would
-    be too large (``_check_fedder_budget``).
+    I = (g) the module (g^(p-1)) is raised on keys by ``packed_power``,
+    with no colon and no polynomial built: ``fedder_module`` scales it by
+    a unit, which changes neither the ideal its roots generate nor its
+    reduced basis.  Raises ValueError, before anything is built, when the
+    module would be too large (``_check_fedder_budget``).
     """
     ctx = I.context
     if I.is_zero_ideal():
-        # No constraint at all: the standard splitting works.
-        return ExistsSplitVerdict(True, buchberger(IdealPresentation(ctx, (ctx.one(),))))
+        # No constraint at all: the standard splitting works, and (1) is
+        # its own reduced basis.
+        return ExistsSplitVerdict(True, GroebnerBasis(ctx, GREVLEX, (ctx.one(),)))
     p = ctx.p
     if len(I.generators) == 1:
         (g,) = I.generators
@@ -714,7 +670,7 @@ def exists_compatible_splitting(I: IdealPresentation) -> ExistsSplitVerdict:
         roots = [h for c in module(pk) for h in packed_roots(c, pk, p).values()]
         return _unpack_basis(ctx, GREVLEX, pk, *_buchberger_core(roots, p, pk))
 
-    G = packed_call(packing(GREVLEX.layout(ctx.arity), bits), run)
+    G = packed_call(packing(grevlex_layout(ctx.arity), bits), run)
     return ExistsSplitVerdict(G.is_unit_ideal(), G)
 
 
@@ -722,12 +678,11 @@ def nilpotent_witness(g: Polynomial, I: IdealPresentation, bound: int) -> int | 
     """Smallest k <= bound with g not in I but g^k in I, if any.
 
     Such a k shows I is not radical, which rules out any compatible
-    splitting.  All on grevlex packed keys in one ``packed_call``: a basis
-    of I by ``_packed_basis`` (membership needs no inter-reduction), g
-    packed once, each power one ``packed_product`` by g, and membership
-    an empty remainder of ``divide_terms``, cut at its first term.  ``packed_product`` checks no
-    guard bits, so the width holds every field of g^bound, as well as the
-    generators'; an overflow elsewhere reruns the whole check wider.
+    splitting.  In one ``packed_call`` on grevlex keys: a basis of I by
+    ``_packed_basis``, each power one ``packed_product`` by g, whose
+    fields the width holds, and one membership division of each.  Raises
+    ValueError once the products would take more than
+    ``fparith.MAX_TERM_PRODUCTS`` term products in all.
     """
     if bound < 2:
         raise ValueError("bound must be at least 2")
@@ -742,11 +697,21 @@ def nilpotent_witness(g: Polynomial, I: IdealPresentation, bound: int) -> int | 
         power = packed_g = pk.pack_terms(g.terms)
         if not divide_terms(power, divisors, p, pk, membership=True):
             return None
+        products = 0
         for k in range(2, bound + 1):
+            products += len(power) * len(packed_g)
+            if products > MAX_TERM_PRODUCTS:
+                raise ValueError(
+                    f"nilpotent bound too large: the element's powers up to exponent {k}"
+                    f" take over {MAX_TERM_PRODUCTS} term products"
+                )
             power = packed_product(power, packed_g, pk.base, p)
             if not divide_terms(power, divisors, p, pk, membership=True):
                 return k
         return None
 
-    bits = fit_bits(max(bound * degree(g.terms), *(degree(h.terms) for h in I.generators)))
-    return packed_call(packing(GREVLEX.layout(g.context.arity), bits), run)
+    # Each product takes a term product at least, so the budget stops the
+    # search before g^(MAX_TERM_PRODUCTS + 2), however large the bound.
+    top = min(bound, MAX_TERM_PRODUCTS + 1)
+    bits = fit_bits(max(top * degree(g.terms), *(degree(h.terms) for h in I.generators)))
+    return packed_call(packing(grevlex_layout(g.context.arity), bits), run)

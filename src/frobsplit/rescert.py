@@ -258,13 +258,13 @@ def matrix_section_coefficient(ctx: RingContext, n: int) -> Polynomial:
     m_i^(p-1), so that each minor is raised while it is small.
 
     Every minor is written straight to packed keys (``_packed_minor``),
-    at the width of the section's degree (p-1)n^2, where no field can
-    overflow; for n >= 2 it also holds the degree pk of a k x k minor's
-    f^p, which the division route divides.  Each is raised to the p-1 on
-    packed keys by ``fparith.packed_power``, which picks the route (at
-    p = 2 the minor itself).  The powers are multiplied in order, except
-    that the one-term powers of the two 1x1 minors come first, where each
-    is a shift of one key.  The section is unpacked once.
+    at the width of the section's degree (p-1)n^2, which holds every
+    field of the section and, for n >= 2, of each minor's power
+    (``fparith.packed_power`` says what a power needs), and is raised to
+    the p-1 there by ``packed_power`` (at p = 2 the minor itself).  The
+    powers are multiplied in order, except that the one-term powers of the
+    two 1x1 minors come first, where each is a shift of one key.  The
+    section is unpacked once.
 
     Raises ValueError before any minor is built when one minor's f^(p-1),
     from its k! terms of degree k, is too large to build

@@ -163,9 +163,9 @@ def is_divisor_splitting(sigma: TwistedEndo, h: Polynomial) -> bool:
     """True when the splitting sigma is compatible with the divisor of h.
 
     On affine space this is exact divisibility of the coefficient by h,
-    decided as membership in (h): the coefficient divided by h on grevlex
-    packed keys, stopping at the first remainder term, with no quotient
-    built and nothing unpacked; an overflow reruns it wider.  Requires
+    decided as membership in (h): one membership division of the
+    coefficient by h (``fparith.divide_terms``) on grevlex packed keys,
+    with no quotient built and nothing unpacked.  Requires
     sigma to actually be a splitting.
     """
     if h.is_zero():
@@ -177,8 +177,7 @@ def is_divisor_splitting(sigma: TwistedEndo, h: Polynomial) -> bool:
     p = c.context.p
 
     def run(pk: Packing) -> bool:
-        packed_h = pk.pack_terms(h.terms)
-        divisor = make_divisor(packed_h, min(packed_h), p, pk)
+        divisor = make_divisor(pk.pack_terms(h.terms), p, pk)
         return not divide_terms(pk.pack_terms(c.terms), (divisor,), p, pk, membership=True)
 
     bits = fit_bits(max(degree(c.terms), degree(h.terms)))

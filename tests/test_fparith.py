@@ -610,6 +610,9 @@ def test_pow_matches_repeated_multiplication_across_digits(data):
         (5, "(x + y + 1)^2", 4, 7, 0),
         (101, "x*y + x + 1", 100, 15, 1),
         (101, "x*y + x + 1", 2 * 101 - 1, 15, 1),
+        # f^(p-1) packs at the width of f^p on the squaring route too:
+        # f^2 has degree 86, in 7-bit fields, but f^3 has degree 129.
+        (3, "x^43 + y + 1", 2, 15, 0),
     ],
 )
 def test_pow_packs_at_the_width_of_its_route(p, text, k, bits, divisions, monkeypatch):
@@ -624,8 +627,9 @@ def test_pow_packs_at_the_width_of_its_route(p, text, k, bits, divisions, monkey
     assert widths == [bits] and len(divided) == divisions
 
 
-# Layouts of each kind: grevlex reads its fields in variable order, lex
-# and elim(1) through ``Packing._pick``.
+# Layouts of each kind: grevlex's fields come out in variable order and
+# are read by one struct call; lex's and elim(1)'s, for n > 1, do not and
+# are read by shift and mask.
 ROOT_LAYOUTS = ["grevlex", "lex", "elim"]
 
 
@@ -636,11 +640,10 @@ def test_packed_roots_match_frobenius_roots_and_reassemble(data):
     p, n = ctx.p, ctx.arity
     kind = data.draw(st.sampled_from(ROOT_LAYOUTS if n > 1 else ROOT_LAYOUTS[:2]))
     order = MonomialOrder(kind, 1 if kind == "elim" else 0)
-    # 7, 15, 31 and 63 bits are read by one struct call, 127 field by field.
+    # 7, 15, 31 and 63 bits fill whole bytes with their guard bits, 127 not.
     bits = data.draw(st.sampled_from([7, 15, 31, 63, 127]))
     pk = fparith.packing(order.layout(n), bits)
-    assert (pk._struct is None) == (bits == 127)
-    assert (pk._pick is None) == (bits == 127 or kind == "grevlex" or n == 1)
+    assert (pk._struct is None) == (bits == 127 or (kind != "grevlex" and n > 1))
     # Exponents up to the widest a field holds, so the degree field fills.
     f = data.draw(polys(ctx, max_exp=((1 << bits) - 1) // n, max_terms=8))
     roots = fparith.packed_roots(pk.pack_terms(f.terms), pk, p)

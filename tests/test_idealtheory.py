@@ -363,6 +363,17 @@ def test_exists_split_witness_constructible_on_cross():
     assert check_splitting(TwistedEndo(coeff)).is_splitting
 
 
+def test_exists_split_on_the_zero_ideal_runs_no_buchberger(monkeypatch):
+    import frobsplit.idealtheory as idealtheory
+
+    ctx = ring(3, "x y")
+    unit = buchberger(_ideal(ctx, "1"))
+    monkeypatch.setattr(idealtheory, "_buchberger_core", lambda *args: pytest.fail("Buchberger ran"))
+    res = exists_compatible_splitting(IdealPresentation(ctx, []))
+    assert res.exists
+    assert res.obstruction == unit
+
+
 def test_nilpotent_witness_parabola():
     ctx = ring(2, "x y")
     assert nilpotent_witness(parse_expr("x", ctx), _ideal(ctx, "y", "y-x^2"), 4) == 2
@@ -395,6 +406,29 @@ def test_nilpotent_witness_matches_the_basis_reference(data):
     I = IdealPresentation(ctx, gens + [multiple])
     bound = data.draw(st.integers(2, 5))
     assert nilpotent_witness(g, I, bound) == nilpotent_reference(g, I, bound)
+
+
+def test_nilpotent_witness_budget_is_the_running_total(monkeypatch):
+    import frobsplit.idealtheory as idealtheory
+
+    # (x+y)^3 = x^3 + y^3 at p = 3: g^2 takes 2 * 2 term products and
+    # g^3 another 3 * 2, 10 in all.  At a budget of 10 the witness is
+    # found; at 9 the search is refused before g^3 is taken.
+    ctx = ring(3, "x y")
+    g, I = parse_expr("x+y", ctx), _ideal(ctx, "x^3", "y^3")
+    monkeypatch.setattr(idealtheory, "MAX_TERM_PRODUCTS", 10)
+    assert nilpotent_witness(g, I, 100000) == nilpotent_reference(g, I, 4) == 3
+    monkeypatch.setattr(idealtheory, "MAX_TERM_PRODUCTS", 9)
+    with pytest.raises(ValueError, match="nilpotent bound too large: .* up to exponent 3 take over 9 term"):
+        nilpotent_witness(g, I, 100000)
+    # The width holds the last power the budget allows, g^10, not g^bound.
+    widths = []
+    monkeypatch.setattr(idealtheory, "packing", lambda layout, bits: widths.append(bits) or packing(layout, bits))
+    with pytest.raises(ValueError, match="nilpotent bound too large"):
+        nilpotent_witness(g, I, 10**4000)
+    assert widths == [7]
+    # A small bound stops before the budget is reached.
+    assert nilpotent_witness(g, I, 2) is None
 
 
 @pytest.mark.parametrize("generators", [(), ("x*y",), ("1",)])
@@ -829,7 +863,7 @@ def test_lcm_and_s_polynomial_terms_that_leave_their_fields_are_caught():
     f = elim.pack_terms({(1, 1, 0): 1, (0, 0, 255): 1})
     g = elim.pack_terms({(1, 0, 1): 1, (0, 0, 0): 1})
     _, lcm = _lcm(elim, (1, 1, 0), (1, 0, 1))
-    divisors = [make_divisor(terms, min(terms), 5, elim) for terms in (f, g)]
+    divisors = [make_divisor(terms, 5, elim) for terms in (f, g)]
     with pytest.raises(PackingOverflow):
         _s_terms(*divisors, lcm, 5, elim.guards)
     with pytest.raises(PackingOverflow):
