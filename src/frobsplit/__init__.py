@@ -4,6 +4,9 @@ Decide whether twisted endomorphisms of F_p[x_1..x_n] are splittings,
 whether they are compatible with given ideals or divisors, whether any
 compatible splitting exists, and certify sections given by products of
 factors through residue chains.
+
+``derham``'s names are loaded on first use (PEP 562): the CLI and the
+splitting checks never use them.
 """
 
 from .fparith import (
@@ -67,18 +70,6 @@ from .rescert import (
     origin_coefficient,
     residue_step,
     search_chain,
-)
-from .derham import (
-    DifferentialForm,
-    NoSuchIndexError,
-    carry_polynomial,
-    cartier_top,
-    d_coordinate,
-    exactness_witness,
-    exterior_d,
-    power_dlog_form,
-    volume_form,
-    wedge,
 )
 from .expr import ParseError, parse_expr
 
@@ -150,3 +141,32 @@ __all__ = [
     "volume_form",
     "wedge",
 ]
+
+_DERHAM = frozenset(
+    {
+        "DifferentialForm",
+        "NoSuchIndexError",
+        "carry_polynomial",
+        "cartier_top",
+        "d_coordinate",
+        "exactness_witness",
+        "exterior_d",
+        "power_dlog_form",
+        "volume_form",
+        "wedge",
+    }
+)
+
+
+def __getattr__(name: str):
+    if name != "derham" and name not in _DERHAM:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    derham = import_module(".derham", __name__)
+    globals().update((key, getattr(derham, key)) for key in _DERHAM)
+    return globals()[name]
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _DERHAM | {"derham"})

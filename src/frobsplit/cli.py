@@ -20,13 +20,12 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from importlib import resources
 from typing import Any, Callable, Sequence
 
+from ._value import Factory, Value
 from .expr import ParseError, parse_expr
-from .fparith import Polynomial, Prime, RingContext, ring
+from .fparith import Polynomial, Prime, ring
 from .idealtheory import (
     IdealPresentation,
     buchberger,
@@ -57,8 +56,7 @@ from .splitcore import (
 SCHEMA_VERSION = 1
 
 
-@dataclass
-class CheckResult:
+class CheckResult(Value, frozen=False):
     kind: str
     verdict: Any
     expected: Any = None
@@ -77,11 +75,10 @@ class CheckResult:
         return out
 
 
-@dataclass
-class Report:
+class Report(Value, frozen=False):
     case: str
     prime: int | None
-    checks: list[CheckResult] = field(default_factory=list)
+    checks: list[CheckResult] = Factory(list)
 
     @property
     def passed(self) -> bool:
@@ -120,16 +117,17 @@ def chain_certificate(chain: ResidueChain) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class CorpusCase:
-    """One corpus entry: a ring, an optional section, and expected checks."""
+class CorpusCase(Value):
+    """One corpus entry: a ring, an optional section, and expected checks.
+
+    ``context``, the ring, is built from the fields and is not one itself:
+    it is in neither ``==`` nor the repr."""
 
     name: str
     prime: int
     variables: tuple[str, ...]
     sigma: str | None
     checks: tuple[dict, ...]
-    context: RingContext | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         """Build the ring once: it validates the prime and the names."""
@@ -175,6 +173,13 @@ class CorpusCase:
             for key in CHECKS[kind][0]:
                 if not (obj if key in ("variables", "sigma") else check).get(key):
                     raise ValueError(f"case {name!r}: a {kind!r} check needs {key!r}")
+            if kind == "nilpotent":
+                bound = check.get("bound", 4)
+                if isinstance(bound, bool) or not isinstance(bound, int) or bound < 2:
+                    raise ValueError(
+                        f'case {name!r}: a "nilpotent" check\'s "bound" must be an integer of at least 2,'
+                        f" not {bound!r}"
+                    )
         try:
             return cls(name, obj["prime"], tuple(variables), obj.get("sigma"), tuple(checks))
         except ValueError as exc:
@@ -293,6 +298,9 @@ def run_case(case: CorpusCase) -> Report:
 
 def shipped_corpus_path() -> str:
     """Filesystem path of the corpus of worked examples shipped with the package."""
+    # Imported here: no other command needs it, and it takes several ms.
+    from importlib import resources
+
     return str(resources.files("frobsplit").joinpath("corpus/worked_examples.json"))
 
 

@@ -20,13 +20,14 @@ pay for packing and unpacking both operands.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heapify, heappop, heappush, nsmallest
 from math import exp, inf, log, log1p
 from operator import add, itemgetter, mul
 from struct import Struct
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
+
+from ._value import Value
 
 Monomial = tuple[int, ...]
 """Exponent vector; entry i is the exponent of the context's i-th variable."""
@@ -78,8 +79,7 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Prime:
+class Prime(Value):
     """A prime number, validated by deterministic Miller-Rabin at
     construction; values of 3.3e24 and above are refused."""
 
@@ -93,8 +93,7 @@ class Prime:
         return self.value
 
 
-@dataclass(frozen=True)
-class Coefficient:
+class Coefficient(Value):
     """An element of F_p, stored as the canonical residue in [0, p)."""
 
     residue: int
@@ -139,8 +138,7 @@ class Coefficient:
         return str(self.residue)
 
 
-@dataclass(frozen=True)
-class RingContext:
+class RingContext(Value):
     """The polynomial ring F_p[x_1, ..., x_n]: a prime and named variables."""
 
     prime: Prime

@@ -25,6 +25,7 @@ from heapq import heappop, heappush
 from math import prod
 from operator import mul
 
+from ._value import Value
 from .fparith import (
     MAX_TERM_PRODUCTS,
     ContextMismatchError,
@@ -52,8 +53,7 @@ from .fparith import (
 from .splitcore import TwistedEndo
 
 
-@dataclass(frozen=True)
-class MonomialOrder:
+class MonomialOrder(Value):
     """A monomial order: lex, grevlex, or a block order elim(k).
 
     elim(k) compares the first k variables by grevlex, then the rest by
@@ -105,8 +105,7 @@ def _layout(order: MonomialOrder, arity: int) -> Layout:
 GREVLEX = MonomialOrder.grevlex()
 
 
-@dataclass(frozen=True)
-class IdealPresentation:
+class IdealPresentation(Value):
     """A finitely generated ideal, given by generators.
 
     Zero generators are dropped; no generators at all means the zero
@@ -135,8 +134,7 @@ def ideal(*generators: Polynomial) -> IdealPresentation:
     return IdealPresentation(generators[0].context, generators)
 
 
-@dataclass(frozen=True)
-class GroebnerBasis:
+class GroebnerBasis(Value):
     """A Groebner basis, its elements packed once in one slot: ``packed``,
     a packing at the narrowest width that fits them and their divisors for
     ``divide_terms``, filled on first use.  Leading monomials are the least

@@ -15,9 +15,9 @@ to a nonzero constant spans a splitting (rescale to get one).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 
+from ._value import Value
 from .fparith import (
     Coefficient,
     ContextMismatchError,
@@ -82,8 +82,7 @@ def frobenius_roots(f: Polynomial) -> dict[Monomial, Polynomial]:
     return {b: Polynomial._raw(f.context, terms) for b, terms in roots.items()}
 
 
-@dataclass(frozen=True)
-class TwistedEndo:
+class TwistedEndo(Value):
     """A twisted endomorphism, stored by its coefficient polynomial."""
 
     coeff: Polynomial
@@ -104,8 +103,7 @@ class VerdictKind(Enum):
     NOT_SPLITTING = "NotSplitting"
 
 
-@dataclass(frozen=True)
-class SplitVerdict:
+class SplitVerdict(Value):
     """Outcome of a splitting check.
 
     ``constant`` is set for SPLITTING (always 1) and SPANS_SPLITTING;
@@ -217,8 +215,7 @@ def tensor(a: TwistedEndo, b: TwistedEndo) -> TwistedEndo:
     return TwistedEndo(fa * fb)
 
 
-@dataclass(frozen=True)
-class P1Extension:
+class P1Extension(Value):
     """Whether an affine-line endomorphism extends to the projective line."""
 
     extends: bool
@@ -270,8 +267,7 @@ bitset takes about 2 ms and the whole construction, mostly the tuple of
 499,500 gaps, 65-80 ms (measured in process on 2 cores, Python 3.11)."""
 
 
-@dataclass(frozen=True)
-class NumericalSemigroup:
+class NumericalSemigroup(Value):
     """Numerical semigroup generated by positive integers with gcd 1.
 
     The gap set (complement in the naturals) and conductor (least c with
@@ -283,9 +279,9 @@ class NumericalSemigroup:
     """
 
     generators: tuple[int, ...]
-    gaps: tuple[int, ...] = field(init=False)
-    conductor: int = field(init=False)
-    _table: str = field(init=False, repr=False)
+    gaps: tuple[int, ...]
+    conductor: int
+    _table: str
 
     def __init__(self, generators) -> None:
         gens = tuple(sorted(set(int(g) for g in generators)))
@@ -323,8 +319,7 @@ class NumericalSemigroup:
         return self._table[m] == "1"
 
 
-@dataclass(frozen=True)
-class SemigroupVerdict:
+class SemigroupVerdict(Value):
     split: bool
     witness: int | None
 

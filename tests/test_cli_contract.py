@@ -87,6 +87,26 @@ def test_malformed_corpus_is_a_usage_error(data, tmp_path, capsys):
     _assert_usage_error(code, capsys.readouterr())
 
 
+@pytest.mark.parametrize("bound", ["4", 1e3, True, 1])
+def test_malformed_nilpotent_bound_is_a_usage_error(bound, tmp_path, capsys):
+    """A bound that is not an int of at least 2 (a string, a float, a bool)
+    is refused at load, naming the case and the field."""
+    check = {"kind": "nilpotent", "element": "x", "ideal": ["y", "y - x^2"], "bound": bound}
+    code = main(["corpus", "run", _write(tmp_path, _corpus(_case(checks=[check])))])
+    captured = capsys.readouterr()
+    _assert_usage_error(code, captured)
+    assert "case 'c'" in captured.err and '"bound"' in captured.err
+
+
+@pytest.mark.parametrize("bound", [None, 2, 10])
+def test_wellformed_nilpotent_bound_runs(bound, tmp_path, capsys):
+    check = {"kind": "nilpotent", "element": "x", "ideal": ["y", "y - x^2"], "expected": 2}
+    if bound is not None:
+        check["bound"] = bound
+    assert main(["corpus", "run", _write(tmp_path, _corpus(_case(checks=[check])))]) == 0
+    assert capsys.readouterr().out.startswith("[PASS] c.nilpotent: verdict=2")
+
+
 def test_malformed_case_stops_the_run_before_any_output(tmp_path, capsys):
     good = _case(checks=[{"kind": "splitting", "expected": "Splitting"}])
     code = main(["corpus", "run", _write(tmp_path, _corpus(good, _case(name=None, checks=[])))])
